@@ -99,12 +99,15 @@ class Field:
 
     def parse(self, text: str) -> Scalar:
         text = text.strip()
-        if self.modulus:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return self.mul(self.from_int(int(num)), self.inv(self.from_int(int(den))))
-            return self.from_int(int(text))
-        return Fraction(text)
+        try:
+            if self.modulus:
+                if "/" in text:
+                    num, den = text.split("/", 1)
+                    return self.mul(self.from_int(int(num)), self.inv(self.from_int(int(den))))
+                return self.from_int(int(text))
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {text!r} divides by zero") from None
 
     def format(self, x: Scalar) -> str:
         return str(x)

@@ -3,16 +3,13 @@
 Exit codes: 0 on success, 1 when a property check finds a violation (for
 ``lenfn-check`` the violation is the expected demonstration, but the exit
 code still reports that one was found), 2 on usage errors.  ``--json``
-switches any subcommand to a machine-readable document.  The environment
-variable ``FACTORLAB_THREADS`` caps the worker count; every current command
-runs a single worker, which satisfies any cap >= 1.
+switches any subcommand to a machine-readable document.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any
 
@@ -276,19 +273,11 @@ def cmd_pi_demo(args) -> int:
     return 0
 
 
-def _worker_cap() -> int | None:
-    raw = os.environ.get("FACTORLAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer FACTORLAB_THREADS={raw!r}", file=sys.stderr)
-        return None
-    if cap < 1:
-        print(f"warning: ignoring FACTORLAB_THREADS={cap} (must be >= 1)", file=sys.stderr)
-        return None
-    return cap
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("skew-check", help="randomized right-length and leading-law audit")
     p.add_argument("--config", default="weyl", help="weyl | qplane:q=Q | qtorus:q=Q")
-    p.add_argument("--pairs", type=int, default=1000)
+    p.add_argument("--pairs", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_skew_check)
 
     p = sub.add_parser("filt-check", help="total-degree additivity audit (Weyl algebra)")
-    p.add_argument("--pairs", type=int, default=500)
+    p.add_argument("--pairs", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_filt_check)
@@ -384,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _worker_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,6 +14,7 @@ dim V^n between multiples of n^d); its output is a hint, never a theorem.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
@@ -65,6 +66,20 @@ class GrowthTable:
         return "\n".join(lines)
 
 
+def _check_bounds(n_max: int, budget: int) -> None:
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    if budget < 1:
+        raise ValueError(f"budget must be positive: {budget}")
+
+
+def _cumulative_table(frame: str, counts: list[int], truncated_at: Optional[int]) -> GrowthTable:
+    """Table of running totals of ``counts`` (new elements per minimal length),
+    cut just before ``truncated_at``, the first length that broke the budget."""
+    top = len(counts) if truncated_at is None else truncated_at
+    return GrowthTable(frame, tuple(enumerate(itertools.accumulate(counts[:top]))), truncated_at)
+
+
 def table_from_words(
     alphabet: Alphabet,
     canonical_key: Callable[[Word], Hashable],
@@ -78,8 +93,7 @@ def table_from_words(
     minimal-length representative, so bucketing by first-hit length yields
     dim V^n without any search.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    _check_bounds(n_max, budget)
     new_at_length = [0] * (n_max + 1)
     seen: set[Hashable] = set()
     visited = 0
@@ -93,20 +107,13 @@ def table_from_words(
         if key not in seen:
             seen.add(key)
             new_at_length[len(w)] += 1
-    top = n_max if truncated_at is None else truncated_at - 1
-    entries = []
-    running = 0
-    for n in range(top + 1):
-        running += new_at_length[n]
-        entries.append((n, running))
-    return GrowthTable(frame, tuple(entries), truncated_at)
+    return _cumulative_table(frame, new_at_length, truncated_at)
 
 
 def two_relator_table(n_max: int, budget: int = DEFAULT_BUDGET) -> GrowthTable:
     """Growth table of the two-relator monoid by direct enumeration of
     canonical parameter tuples (no word search, no deduplication)."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    _check_bounds(n_max, budget)
     counts = [0] * (n_max + 1)
     produced = 0
     truncated_at: Optional[int] = None
@@ -116,20 +123,13 @@ def two_relator_table(n_max: int, budget: int = DEFAULT_BUDGET) -> GrowthTable:
             truncated_at = nf.length
             break
         counts[nf.length] += 1
-    top = n_max if truncated_at is None else max(truncated_at - 1, 0)
-    entries = []
-    running = 0
-    for n in range(top + 1):
-        running += counts[n]
-        entries.append((n, running))
-    return GrowthTable("two-relator monoid frame {1, a, b}", tuple(entries), truncated_at)
+    return _cumulative_table("two-relator monoid frame {1, a, b}", counts, truncated_at)
 
 
 def free_commutative_table(n_max: int, budget: int = DEFAULT_BUDGET) -> GrowthTable:
     """Growth table of the free commutative monoid on two generators, by
     direct enumeration of its canonical exponent pairs."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    _check_bounds(n_max, budget)
     counts = [0] * (n_max + 1)
     produced = 0
     truncated_at: Optional[int] = None
@@ -142,13 +142,7 @@ def free_commutative_table(n_max: int, budget: int = DEFAULT_BUDGET) -> GrowthTa
             counts[total] += 1
         if truncated_at is not None:
             break
-    top = n_max if truncated_at is None else max(truncated_at - 1, 0)
-    entries = []
-    running = 0
-    for n in range(top + 1):
-        running += counts[n]
-        entries.append((n, running))
-    return GrowthTable("free commutative monoid on 2 generators", tuple(entries), truncated_at)
+    return _cumulative_table("free commutative monoid on 2 generators", counts, truncated_at)
 
 
 def builtin_table(family: str, n_max: int, budget: int = DEFAULT_BUDGET) -> GrowthTable:

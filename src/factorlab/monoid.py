@@ -24,20 +24,15 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .groups import ALPHABET, NormalForm, left_quotient, right_quotient
-from .words import RewriteSystem, Word, inversion_count, parse_word
+from .words import Word, parse_word
 
 A = Word(ALPHABET, ("a",))
 B = Word(ALPHABET, ("b",))
-EMPTY = Word(ALPHABET)
 
 RELATIONS = (
     (parse_word("b a a b", ALPHABET), parse_word("a a", ALPHABET)),
     (parse_word("a a a a b", ALPHABET), parse_word("b a a a a", ALPHABET)),
 )
-
-#: The relations oriented left-to-right; shortening rule first, and the
-#: length-preserving shift rule certified by the (a, later b) inversion count.
-REWRITE_SYSTEM = RewriteSystem(rules=RELATIONS, weight=inversion_count)
 
 
 class ChainVerificationError(RuntimeError):
@@ -107,13 +102,15 @@ def _runs_to_normal_form(runs: list[list]) -> NormalForm:
     return NormalForm(head_b, tuple(blocks), tail_a)
 
 
+def _normal_form(letters) -> NormalForm:
+    """Canonical form of a letter sequence: group it into runs, reduce the
+    runs with the oriented relations, read off the parameter tuple."""
+    return _runs_to_normal_form(_reduce_runs([[ch, len(list(g))] for ch, g in itertools.groupby(letters)]))
+
+
 def normalize(w: Word) -> NormalForm:
     """Canonical form of a word, computed purely by rewriting."""
-    return _runs_to_normal_form(_reduce_runs([[ch, len(list(g))] for ch, g in itertools.groupby(w.letters)]))
-
-
-def normalize_letters(letters) -> NormalForm:
-    return _runs_to_normal_form(_reduce_runs([[ch, len(list(g))] for ch, g in itertools.groupby(letters)]))
+    return _normal_form(w.letters)
 
 
 def equal(u: Word, v: Word) -> bool:
@@ -122,15 +119,7 @@ def equal(u: Word, v: Word) -> bool:
 
 def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
     """Product in the monoid, as canonical forms."""
-    return _runs_to_normal_form(
-        _reduce_runs(
-            [[ch, len(list(g))] for ch, g in itertools.groupby(x.letters() + y.letters())]
-        )
-    )
-
-
-def word_of(nf: NormalForm) -> Word:
-    return nf.word()
+    return _normal_form(x.letters() + y.letters())
 
 
 def enumerate_elements(max_len: int) -> Iterator[NormalForm]:
@@ -184,8 +173,8 @@ def is_atom(x: NormalForm) -> AtomVerdict:
         return AtomVerdict("unit")
     if len(letters) == 1:
         return AtomVerdict("atom")
-    left = normalize_letters(letters[:1])
-    right = normalize_letters(letters[1:])
+    left = _normal_form(letters[:1])
+    right = _normal_form(letters[1:])
     return AtomVerdict("composite", (left, right))
 
 
@@ -267,7 +256,7 @@ def verify_accp_failure(depth: int) -> AccpWitness:
         raise ValueError("depth must be positive")
     cofactor_b = normalize(B)
     chain: list[tuple[NormalForm, NormalForm]] = []
-    elements = [normalize_letters(("b",) * k + ("a", "a")) for k in range(depth + 1)]
+    elements = [_normal_form(("b",) * k + ("a", "a")) for k in range(depth + 1)]
     for k in range(depth):
         g_k, g_next = elements[k], elements[k + 1]
         inclusion = left_quotient(g_next.word(), g_k.word())
@@ -331,12 +320,12 @@ def right_length_refutation_triples(bound: int) -> list[tuple[NormalForm, Normal
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    aa = normalize_letters(("a", "a"))
+    aa = _normal_form(("a", "a"))
     triples = []
     for n in range(1, bound + 1):
         b_n = NormalForm(n, (), 0)
         b_prev = NormalForm(n - 1, (), 0)
-        bn_aa = normalize_letters(("b",) * n + ("a", "a"))
+        bn_aa = _normal_form(("b",) * n + ("a", "a"))
         triples.append((b_n, b_prev, NormalForm(1, (), 0)))
         triples.append((bn_aa, b_n, aa))
         triples.append((aa, bn_aa, b_n))
@@ -386,12 +375,12 @@ def nonunit_power_witness(x: NormalForm, n: int) -> list[NormalForm]:
         # elements right- and left-absorbing b-powers; fall back to error
         k += 1
         candidate = ("b",) * k + x.letters() + ("b",) * k
-        if normalize_letters(candidate) != x:
+        if _normal_form(candidate) != x:
             raise ValueError(f"{x} has no representing word of length >= {n}")
         letters = candidate
     # split into n nonempty chunks
     cuts = [round(i * len(letters) / n) for i in range(n + 1)]
-    factors = [normalize_letters(letters[cuts[i] : cuts[i + 1]]) for i in range(n)]
+    factors = [_normal_form(letters[cuts[i] : cuts[i + 1]]) for i in range(n)]
     if any(f.is_identity() for f in factors):  # pragma: no cover
         raise ValueError("degenerate chunking")
     product = factors[0]

@@ -205,7 +205,10 @@ def parse_config(text: str) -> tuple[str, SigmaDelta]:
             if rest:
                 if not rest.startswith(":q="):
                     raise ValueError(f"bad configuration: {text!r}")
-                q = Fraction(rest[3:])
+                try:
+                    q = Fraction(rest[3:])
+                except ZeroDivisionError:
+                    raise ValueError(f"q divides by zero: {text!r}") from None
             return kind, quantum_plane(q)
     raise ValueError(f"unknown configuration: {text!r}")
 

@@ -1,12 +1,7 @@
-"""Alphabets, words, monoid presentations, and a terminating string rewriter.
+"""Alphabets, words, and shortlex enumeration of words.
 
 Words are immutable sequences of generator names over a fixed alphabet;
-equality is structural and concatenation is the free-monoid product.  The
-rewriter applies oriented rules at the leftmost matching position until no
-rule applies.  Rules must never lengthen a word, and any length-preserving
-rule has to come with a termination certificate: a word weight that strictly
-decreases under every application (the engine enforces the lexicographic
-descent of ``(length, weight)`` at run time instead of trusting the caller).
+equality is structural and concatenation is the free-monoid product.
 """
 
 from __future__ import annotations
@@ -14,51 +9,26 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
-
-
-class StepBudgetExceeded(RuntimeError):
-    """Raised when rewriting does not reach a fixpoint within the budget."""
-
-
-class CertificateViolation(RuntimeError):
-    """Raised when a rewrite step fails to decrease the termination weight."""
-
-
-@dataclass(frozen=True, slots=True)
-class Generator:
-    index: int
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("generator index must be non-negative")
-        if not self.name or any(ch.isspace() for ch in self.name):
-            raise ValueError(f"generator name must be a non-empty token: {self.name!r}")
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True, slots=True)
 class Alphabet:
-    generators: tuple[Generator, ...]
+    names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise ValueError(f"generator names must be pairwise distinct: {names}")
+        for name in self.names:
+            if not name or any(ch.isspace() for ch in name):
+                raise ValueError(f"generator name must be a non-empty token: {name!r}")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"generator names must be pairwise distinct: {list(self.names)}")
 
     @staticmethod
     def from_names(names: Sequence[str]) -> "Alphabet":
-        return Alphabet(tuple(Generator(i, n) for i, n in enumerate(names)))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.generators)
+        return Alphabet(tuple(names))
 
     def __contains__(self, name: str) -> bool:
-        return any(g.name == name for g in self.generators)
-
-    def __len__(self) -> int:
-        return len(self.generators)
+        return name in self.names
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,13 +75,6 @@ def concat(u: Word, v: Word) -> Word:
     return Word(u.alphabet, u.letters + v.letters)
 
 
-def word_from_runs(alphabet: Alphabet, runs: Iterable[tuple[str, int]]) -> Word:
-    letters: list[str] = []
-    for ch, n in runs:
-        letters.extend([ch] * n)
-    return Word(alphabet, tuple(letters))
-
-
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse ``b a a b`` or ``b^2 a^3``; ``e`` denotes the empty word."""
     text = text.strip()
@@ -129,146 +92,6 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word(alphabet, tuple(letters))
 
 
-@dataclass(frozen=True, slots=True)
-class Presentation:
-    alphabet: Alphabet
-    relations: tuple[tuple[Word, Word], ...]
-
-    def __post_init__(self) -> None:
-        for lhs, rhs in self.relations:
-            if lhs.alphabet != self.alphabet or rhs.alphabet != self.alphabet:
-                raise ValueError("relation words must use the presentation's alphabet")
-
-
-class PresentationSyntaxError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-
-
-def parse_presentation(text: str) -> Presentation:
-    """Parse the presentation file format.
-
-    Line 1 declares ``generators: a b``; every following non-blank line is
-    ``relation: b a a b = a a`` with one generator token per symbol.  Unknown
-    tokens are rejected with a line/column diagnostic.
-    """
-    alphabet: Alphabet | None = None
-    relations: list[tuple[Word, Word]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        if alphabet is None:
-            if not raw.lstrip().startswith("generators:"):
-                raise PresentationSyntaxError(
-                    "first line must start with 'generators:'", lineno, 1
-                )
-            names = raw.split(":", 1)[1].split()
-            if not names:
-                raise PresentationSyntaxError("no generators declared", lineno, len(raw))
-            try:
-                alphabet = Alphabet.from_names(names)
-            except ValueError as exc:
-                raise PresentationSyntaxError(str(exc), lineno, raw.index(":") + 2) from exc
-            continue
-        if not raw.lstrip().startswith("relation:"):
-            raise PresentationSyntaxError("expected 'relation:' line", lineno, 1)
-        body_start = raw.index(":") + 1
-        body = raw[body_start:]
-        if body.count("=") != 1:
-            raise PresentationSyntaxError("relation needs exactly one '='", lineno, body_start + 1)
-        eq_pos = body.index("=")
-        sides: list[Word] = []
-        for offset, side_text in ((0, body[:eq_pos]), (eq_pos + 1, body[eq_pos + 1 :])):
-            letters: list[str] = []
-            for m in re.finditer(r"\S+", side_text):
-                tok = m.group(0)
-                if tok not in alphabet:
-                    col = body_start + offset + m.start() + 1
-                    raise PresentationSyntaxError(f"unknown symbol {tok!r}", lineno, col)
-                letters.append(tok)
-            sides.append(Word(alphabet, tuple(letters)))
-        relations.append((sides[0], sides[1]))
-    if alphabet is None:
-        raise PresentationSyntaxError("empty presentation", 1, 1)
-    return Presentation(alphabet, tuple(relations))
-
-
-@dataclass(frozen=True, slots=True)
-class RewriteSystem:
-    """Oriented rules applied leftmost-first, with a termination certificate.
-
-    Every rule must satisfy ``len(replacement) <= len(pattern)``.  If any rule
-    preserves length, ``weight`` must be supplied and every application must
-    strictly decrease ``(len(word), weight(word))`` lexicographically.
-    """
-
-    rules: tuple[tuple[Word, Word], ...]
-    weight: Callable[[Word], int] | None = None
-    strategy: str = "leftmost-innermost"
-
-    def __post_init__(self) -> None:
-        if self.strategy != "leftmost-innermost":
-            raise ValueError(f"unsupported strategy: {self.strategy}")
-        if not self.rules:
-            raise ValueError("rewrite system needs at least one rule")
-        needs_certificate = False
-        for pattern, replacement in self.rules:
-            if len(pattern) == 0:
-                raise ValueError("empty rule pattern")
-            if len(replacement) > len(pattern):
-                raise ValueError(f"lengthening rule {pattern.display()} -> {replacement.display()}")
-            if len(replacement) == len(pattern):
-                needs_certificate = True
-        if needs_certificate and self.weight is None:
-            raise ValueError("length-preserving rules require a termination certificate (weight)")
-
-    def _rank(self, w: Word) -> tuple[int, int]:
-        return (len(w), self.weight(w) if self.weight is not None else 0)
-
-
-def _find_leftmost(letters: tuple[str, ...], rules: Sequence[tuple[Word, Word]]):
-    for pos in range(len(letters)):
-        for pattern, replacement in rules:
-            pl = pattern.letters
-            if letters[pos : pos + len(pl)] == pl:
-                return pos, pattern, replacement
-    return None
-
-
-def rewrite_to_fixpoint(w: Word, rs: RewriteSystem, step_budget: int = 10_000) -> Word:
-    """Apply rules at the leftmost matching position until none applies.
-
-    Raises :class:`StepBudgetExceeded` after ``step_budget`` steps (the signal
-    for a mis-oriented or non-terminating system) and
-    :class:`CertificateViolation` if a step fails to decrease the rank.
-    """
-    if step_budget <= 0:
-        raise ValueError("step budget must be positive")
-    steps = 0
-    current = w
-    rank = rs._rank(current)
-    while True:
-        hit = _find_leftmost(current.letters, rs.rules)
-        if hit is None:
-            return current
-        steps += 1
-        if steps > step_budget:
-            raise StepBudgetExceeded(f"no fixpoint within {step_budget} steps from {w.display()}")
-        pos, pattern, replacement = hit
-        current = Word(
-            current.alphabet,
-            current.letters[:pos] + replacement.letters + current.letters[pos + len(pattern) :],
-        )
-        new_rank = rs._rank(current)
-        if new_rank >= rank:
-            raise CertificateViolation(
-                f"rule {pattern.display()} -> {replacement.display()} did not decrease the rank"
-            )
-        rank = new_rank
-
-
 def enumerate_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     """Yield every word of length <= max_len exactly once, in shortlex order."""
     if max_len < 0:
@@ -277,16 +100,3 @@ def enumerate_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     for length in range(max_len + 1):
         for combo in itertools.product(names, repeat=length):
             yield Word(alphabet, combo)
-
-
-def inversion_count(w: Word, early: str = "a", late: str = "b") -> int:
-    """Number of (early, later late) letter pairs; certificate weight for rules
-    that move a block of ``early`` letters to the right past a ``late`` letter."""
-    seen_early = 0
-    inversions = 0
-    for ch in w.letters:
-        if ch == early:
-            seen_early += 1
-        elif ch == late:
-            inversions += seen_early
-    return inversions

@@ -112,10 +112,16 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+#: Deepest parenthesis nesting the parser accepts.  Each level costs four
+#: stack frames, so this stays well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -169,16 +175,23 @@ class _Parser:
     def parse_atom(self) -> LaurentPoly2:
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING} levels")
             inner = self.parse_expr()
             if self.take() != ")":
                 raise ValueError("missing closing parenthesis")
+            self.depth -= 1
             return inner
         if tok == "x":
             return LaurentPoly2.term(1, 0)
         if tok == "y":
             return LaurentPoly2.term(0, 1)
         if re.fullmatch(r"\d+(/\d+)?", tok):
-            return LaurentPoly2.constant(Fraction(tok))
+            try:
+                return LaurentPoly2.constant(Fraction(tok))
+            except ZeroDivisionError:
+                raise ValueError(f"number {tok!r} divides by zero") from None
         raise ValueError(f"unexpected token {tok!r} in polynomial literal")
 
 

@@ -133,10 +133,32 @@ def test_unknown_generator_is_reported(capsys):
     assert code == 2 and "unknown generator" in err
 
 
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FACTORLAB_THREADS", "4")
-    code, out, err = run(capsys, "normalize", "a a")
-    assert code == 0 and err == ""
-    monkeypatch.setenv("FACTORLAB_THREADS", "zero")
-    code, out, err = run(capsys, "normalize", "a a")
-    assert code == 0 and "FACTORLAB_THREADS" in err
+def test_zero_denominator_is_an_input_error(capsys):
+    for argv in (
+        ("alg", "mul", "1/0 * a", "1 * b"),
+        ("alg", "mul", "1/7 * a", "1 * b", "--char", "7"),
+        ("pi-demo", "--steps", "2", "--matrix", "1/0; x; 1; x*y"),
+        ("skew-check", "--config", "qtorus:q=1/0", "--pairs", "5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), argv
+
+
+def test_deeply_nested_matrix_literal_is_an_input_error(capsys):
+    entry = "(" * 2000 + "1" + ")" * 2000
+    code, _, err = run(capsys, "pi-demo", "--steps", "2", "--matrix", f"{entry}; x; 1; x*y")
+    assert code == 2 and "nested" in err
+
+
+def test_pairs_must_be_positive(capsys):
+    for command in ("skew-check", "filt-check"):
+        for pairs in ("-5", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--pairs", pairs])
+            assert exc.value.code == 2
+
+
+def test_growth_budget_must_be_positive(capsys):
+    code, out, err = run(capsys, "growth", "--family", "two-relator", "--n-max", "3", "--budget", "0")
+    assert code == 2 and out == "" and "budget" in err

@@ -81,6 +81,38 @@ def test_budget_truncation_marker():
     assert tr.truncated_at is not None
 
 
+def _two_relator_closed_form(n_max):
+    # dim V^n is the z^n coefficient of (1 + z^3) / ((1 - z)^2 (1 - z - z^2 - z^4)),
+    # the generating function of the canonical parameter tuples
+    numerator = [1, 0, 0, 1]
+    denominator = [1, -3, 2, 1, -2, 2, -1]  # (1 - z)^2 (1 - z - z^2 - z^4)
+    dims = []
+    for n in range(n_max + 1):
+        acc = numerator[n] if n < len(numerator) else 0
+        acc -= sum(denominator[k] * dims[n - k] for k in range(1, min(n, len(denominator) - 1) + 1))
+        dims.append(acc)
+    return dims
+
+
+def test_budget_truncation_matches_closed_forms():
+    n_max = 8
+    closed = {
+        "free": [2 ** (n + 1) - 1 for n in range(n_max + 1)],
+        "free-commutative": [(n + 1) * (n + 2) // 2 for n in range(n_max + 1)],
+        "two-relator": _two_relator_closed_form(n_max),
+    }
+    assert closed["two-relator"] == list(builtin_table("two-relator", n_max).dims())
+    for family, dims in closed.items():
+        for budget in range(1, 61):
+            over = [n for n, d in enumerate(dims) if d > budget]
+            cut = over[0] if over else None
+            table = builtin_table(family, n_max, budget)
+            assert table.truncated_at == cut, (family, budget)
+            assert table.entries == tuple(enumerate(dims[:cut])), (family, budget)
+        with pytest.raises(ValueError):
+            builtin_table(family, n_max, budget=0)
+
+
 def test_output_formats():
     table = builtin_table("free-commutative", 8)
     csv = table.csv().splitlines()

@@ -18,7 +18,7 @@ from factorlab.monoid import (
     right_length_refutation_triples,
     verify_accp_failure,
 )
-from factorlab.words import enumerate_words, parse_word, rewrite_to_fixpoint
+from factorlab.words import enumerate_words, parse_word
 
 
 def w(text):
@@ -60,14 +60,6 @@ def test_conservation_laws_up_to_12():
         assert nf.a_count == word.count("a")
         assert nf.b_count % 2 == word.count("b") % 2
         assert nf.length <= len(word)
-
-
-def test_generic_rewriter_agrees_on_equality():
-    # the raw string rewriter is only a helper, but its fixpoints must
-    # represent the same element as the canonical normalizer's output
-    for word in enumerate_words(ALPHABET, 10):
-        reduced = rewrite_to_fixpoint(word, monoid.REWRITE_SYSTEM)
-        assert normalize(reduced) == normalize(word)
 
 
 def test_enumerate_elements_small():

@@ -2,21 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factorlab.words import (
-    Alphabet,
-    CertificateViolation,
-    PresentationSyntaxError,
-    RewriteSystem,
-    StepBudgetExceeded,
-    Word,
-    concat,
-    enumerate_words,
-    inversion_count,
-    parse_presentation,
-    parse_word,
-    rewrite_to_fixpoint,
-    word_from_runs,
-)
+from factorlab.words import Alphabet, Word, concat, enumerate_words, parse_word
 
 AB = Alphabet.from_names(("a", "b"))
 
@@ -49,60 +35,6 @@ def test_concat_associative_with_identity(u, v, x):
     assert len(concat(u, v)) == len(u) + len(v)
 
 
-SHRINK = RewriteSystem(rules=((w("b a a b"), w("a a")),))
-SHIFT_AND_SHRINK = RewriteSystem(
-    rules=((w("b a a b"), w("a a")), (w("a a a a b"), w("b a a a a"))),
-    weight=inversion_count,
-)
-
-
-def test_rewrite_examples():
-    assert rewrite_to_fixpoint(w("b a a b"), SHRINK) == w("a a")
-    shift_only = RewriteSystem(
-        rules=((w("a a a a b"), w("b a a a a")),), weight=inversion_count
-    )
-    assert rewrite_to_fixpoint(w("a a a a b"), shift_only) == w("b a a a a")
-    assert rewrite_to_fixpoint(w("e"), SHIFT_AND_SHRINK) == w("e")
-
-
-def test_rewrite_budget_exceeded():
-    with pytest.raises(StepBudgetExceeded):
-        rewrite_to_fixpoint(w("b^5 a^2 b^5"), SHIFT_AND_SHRINK, step_budget=2)
-
-
-def test_rewrite_bad_certificate_detected():
-    # a length-preserving rule whose claimed weight never decreases
-    bogus = RewriteSystem(rules=((w("a b"), w("b a")),), weight=lambda _: 0)
-    with pytest.raises(CertificateViolation):
-        rewrite_to_fixpoint(w("a b"), bogus)
-
-
-def test_rewrite_system_validation():
-    with pytest.raises(ValueError):
-        RewriteSystem(rules=((w("a"), w("a b")),))  # lengthening
-    with pytest.raises(ValueError):
-        RewriteSystem(rules=((w("a b"), w("b a")),))  # length-preserving, no certificate
-    with pytest.raises(ValueError):
-        RewriteSystem(rules=(), weight=None)
-
-
-def test_rewrite_idempotent_and_nonincreasing_up_to_length_12():
-    for word in enumerate_words(AB, 12):
-        once = rewrite_to_fixpoint(word, SHIFT_AND_SHRINK)
-        assert len(once) <= len(word)
-        assert rewrite_to_fixpoint(once, SHIFT_AND_SHRINK) == once
-
-
-def test_shift_rule_strictly_decreases_inversions():
-    shift = (w("a a a a b"), w("b a a a a"))
-    for word in enumerate_words(AB, 9):
-        letters = word.letters
-        for pos in range(len(letters) - 4):
-            if letters[pos : pos + 5] == shift[0].letters:
-                rewritten = Word(AB, letters[:pos] + shift[1].letters + letters[pos + 5 :])
-                assert inversion_count(rewritten) < inversion_count(word)
-
-
 def test_enumerate_words_counts_and_order():
     assert [x.letters for x in enumerate_words(AB, 0)] == [()]
     assert [x.letters for x in enumerate_words(AB, 1)] == [(), ("a",), ("b",)]
@@ -125,38 +57,16 @@ def test_word_display_and_parse():
     assert w("b^2 a^3").display_exponents() == "b^2 a^3"
     assert w("e").display() == "e"
     assert parse_word("b^2 a^3 b^1 a^2", AB).letters == w("b b a a a b a a").letters
-    assert word_from_runs(AB, [("b", 2), ("a", 1)]) == w("b b a")
     with pytest.raises(ValueError):
         parse_word("q", AB)
 
 
-def test_presentation_parsing():
-    text = "generators: a b\nrelation: b a a b = a a\nrelation: a a a a b = b a a a a\n"
-    pres = parse_presentation(text)
-    assert pres.alphabet.names == ("a", "b")
-    assert len(pres.relations) == 2
-    assert pres.relations[0][0] == w("b a a b")
-
-
-def test_presentation_accepts_multichar_generators():
-    pres = parse_presentation("generators: gen1 gen2\nrelation: gen1 gen2 = gen2 gen1\n")
-    assert pres.alphabet.names == ("gen1", "gen2")
-
-
-def test_presentation_unknown_symbol_diagnostics():
-    text = "generators: a b\nrelation: b a q b = a a\n"
-    with pytest.raises(PresentationSyntaxError) as err:
-        parse_presentation(text)
-    assert err.value.line == 2
-    assert text.splitlines()[1][err.value.column - 1] == "q"
-
-
-def test_presentation_structure_errors():
-    with pytest.raises(PresentationSyntaxError):
-        parse_presentation("relation: a = b\n")
-    with pytest.raises(PresentationSyntaxError):
-        parse_presentation("generators: a b\nrelation: a a\n")
-    with pytest.raises(PresentationSyntaxError):
-        parse_presentation("")
-    with pytest.raises(PresentationSyntaxError):
-        parse_presentation("generators: a a\n")
+def test_alphabet_validation():
+    multichar = Alphabet.from_names(("gen1", "gen2"))
+    assert multichar.names == ("gen1", "gen2")
+    assert parse_word("gen2^2 gen1", multichar).letters == ("gen2", "gen2", "gen1")
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Alphabet.from_names(("a", "a"))
+    for bad in ("", "a b"):
+        with pytest.raises(ValueError, match="non-empty token"):
+            Alphabet.from_names(("a", bad))

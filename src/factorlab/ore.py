@@ -10,6 +10,17 @@ exercised here: the Weyl algebra (sigma = id, delta = d/dy), the quantum
 plane (sigma: y -> q y, delta = 0), and the quantum torus, the Laurent ring
 over the scaling automorphism.
 
+Multiplication (standard Ore-extension arithmetic, Goodearl & Warfield,
+*An Introduction to Noncommutative Noetherian Rings*, ch. 2): for
+g = sum_j x^j b_j, ``ore_mul`` forms f*g = sum_j (f*x^j) b_j and gets
+f*x^(j+1) from f*x^j by one pass of the rule over its coefficients.  With
+n_f and n_g the numbers of x-coefficients, that costs at most
+(n_f + n_g) * n_g applications of sigma and of delta, plus one base-ring
+product per coefficient of each f*x^j.  The rule is applied one x at a time
+on purpose: a closed form such as the Leibniz expansion
+a x^j = sum_k C(j, k) x^(j-k) a^(k) of the Weyl algebra is left to
+independent checks.
+
 Length functions:
 
 * ``lambda_skew(f) = deg_x(f) + weight(leading coefficient)`` strictly drops
@@ -44,7 +55,7 @@ class Poly:
 
     @staticmethod
     def of(*values) -> "Poly":
-        return _poly([Fraction(v) for v in values])
+        return _poly(values)
 
     @staticmethod
     def const(value) -> "Poly":
@@ -65,10 +76,11 @@ class Poly:
         return len(self.coeffs) == 1
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
+        if len(self.coeffs) < len(other.coeffs):
+            return other + self
+        if not other.coeffs:
+            return self
+        out = list(self.coeffs)
         for i, c in enumerate(other.coeffs):
             out[i] += c
         return _poly(out)
@@ -90,7 +102,7 @@ class Poly:
         return _poly(out)
 
     def derivative(self) -> "Poly":
-        return _poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([i * c for i, c in enumerate(self.coeffs[1:], 1)])
 
     def shift_argument(self, k: int) -> "Poly":
         """p(y) -> p(y + k), by Horner evaluation at y + k."""
@@ -101,8 +113,13 @@ class Poly:
         return acc
 
     def scale_argument(self, q: Fraction) -> "Poly":
-        """p(y) -> p(q y)."""
-        return _poly([c * q**i for i, c in enumerate(self.coeffs)])
+        """p(y) -> p(q y), with a running power of q."""
+        out = list(self.coeffs)
+        power = Fraction(1)
+        for i in range(1, len(out)):
+            power *= q
+            out[i] *= power
+        return _poly(out)
 
     def display(self) -> str:
         if not self.coeffs:
@@ -123,11 +140,12 @@ class Poly:
         return self.display()
 
 
-def _poly(coeffs: Sequence[Fraction]) -> Poly:
-    coeffs = list(coeffs)
+def _poly(coeffs: Sequence) -> Poly:
+    """Trim trailing zeros; wrap only the values that are not already Fractions."""
+    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return Poly(tuple(Fraction(c) for c in coeffs))
+    return Poly(tuple(coeffs))
 
 
 ZERO_POLY = Poly()
@@ -167,6 +185,8 @@ class SigmaDelta:
             raise ValueError("d/dy is a derivation only for the identity twist")
         if self.sigma == "scale" and self.q == 0:
             raise ValueError("scale factor must be invertible")
+        # an int q would turn q**k into a float for negative k
+        object.__setattr__(self, "q", Fraction(self.q))
 
     def apply_sigma(self, p: Poly, k: int = 1) -> Poly:
         if self.sigma == "identity" or k == 0:
@@ -299,34 +319,33 @@ def _same_twist(f: OrePoly, g: OrePoly) -> None:
         raise ValueError("operands carry different twist data")
 
 
-def _base_times_x_power(a: Poly, j: int, sd: SigmaDelta) -> list[Poly]:
-    """Coefficients of a * x^j, from j applications of a*x = x*sigma(a)+delta(a)."""
-    vec = [a]
-    for _ in range(j):
-        new = [ZERO_POLY] * (len(vec) + 1)
-        for m, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            new[m + 1] = new[m + 1] + sd.apply_sigma(c)
-            new[m] = new[m] + sd.apply_delta(c)
-        vec = new
-    return vec
+def _times_x(coeffs: list[Poly], sd: SigmaDelta) -> list[Poly]:
+    """Right coefficients of h * x from those of h: one pass of
+    a * x = x * sigma(a) + delta(a) over the coefficients of h."""
+    out = [ZERO_POLY] * (len(coeffs) + 1)
+    for m, c in enumerate(coeffs):
+        if c.is_zero():
+            continue
+        out[m + 1] = sd.apply_sigma(c)  # slot m + 1 is first written here
+        out[m] = out[m] + sd.apply_delta(c)
+    return out
 
 
 def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
+    """f * g as the sum over j of (f * x^j) * b_j, for g = sum_j x^j b_j."""
     _same_twist(f, g)
     if f.is_zero() or g.is_zero():
         return ore_zero(f.sd)
     out = [ZERO_POLY] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        if a.is_zero():
+    f_xj = list(f.coeffs)  # right coefficients of f * x^j
+    for j, b in enumerate(g.coeffs):
+        if j:
+            f_xj = _times_x(f_xj, f.sd)
+        if b.is_zero():
             continue
-        for j, b in enumerate(g.coeffs):
-            if b.is_zero():
-                continue
-            for m, c in enumerate(_base_times_x_power(a, j, f.sd)):
-                if not c.is_zero():
-                    out[i + m] = out[i + m] + c * b
+        for m, c in enumerate(f_xj):
+            if not c.is_zero():
+                out[m] = out[m] + c * b
     return _ore(out, f.sd)
 
 

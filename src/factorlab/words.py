@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+MAX_LETTERS = 10**7  # longest word parse_word expands
+
 
 @dataclass(frozen=True, slots=True)
 class Alphabet:
@@ -76,11 +78,15 @@ def concat(u: Word, v: Word) -> Word:
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse ``b a a b`` or ``b^2 a^3``; ``e`` denotes the empty word."""
+    """Parse ``b a a b`` or ``b^2 a^3``; ``e`` denotes the empty word.
+
+    All tokens are read before any letter is expanded, and a word of more
+    than ``MAX_LETTERS`` letters is refused with ``ValueError``.
+    """
     text = text.strip()
     if text in ("", "e"):
         return Word(alphabet)
-    letters: list[str] = []
+    runs: list[tuple[str, int]] = []
     for tok in text.split():
         m = re.fullmatch(r"([^^\s]+)(?:\^(\d+))?", tok)
         if m is None:
@@ -88,6 +94,12 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         name, exp = m.group(1), int(m.group(2) or 1)
         if name not in alphabet:
             raise ValueError(f"unknown generator {name!r} (alphabet: {' '.join(alphabet.names)})")
+        runs.append((name, exp))
+    total = sum(exp for _, exp in runs)
+    if total > MAX_LETTERS:
+        raise ValueError(f"word has {total} letters, more than the limit of {MAX_LETTERS}")
+    letters: list[str] = []
+    for name, exp in runs:
         letters.extend([name] * exp)
     return Word(alphabet, tuple(letters))
 

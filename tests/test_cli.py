@@ -162,3 +162,16 @@ def test_pairs_must_be_positive(capsys):
 def test_growth_budget_must_be_positive(capsys):
     code, out, err = run(capsys, "growth", "--family", "two-relator", "--n-max", "3", "--budget", "0")
     assert code == 2 and out == "" and "budget" in err
+
+
+def test_huge_exponent_is_an_input_error(capsys):
+    code, out, err = run(capsys, "normalize", "a^99999999999")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "letters" in err
+
+
+def test_word_length_limit_counts_all_tokens(capsys):
+    # each token is under the limit, their total is over it
+    code, out, err = run(capsys, "normalize", "a^6000000 b^6000000")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "letters" in err

@@ -39,6 +39,41 @@ from factorlab.ore import (
 
 WEYL = weyl()
 QPLANE = quantum_plane(2)
+TWISTS = (weyl(), quantum_plane(3), SigmaDelta("shift"))
+
+
+def _reference_mul(f: OrePoly, g: OrePoly) -> OrePoly:
+    """The former ore_mul: rebuild a_i * x^j from scratch for every pair."""
+
+    def base_times_x_power(a, j, sd):
+        vec = [a]
+        for _ in range(j):
+            new = [ZERO_POLY] * (len(vec) + 1)
+            for m, c in enumerate(vec):
+                if c.is_zero():
+                    continue
+                new[m + 1] = new[m + 1] + sd.apply_sigma(c)
+                new[m] = new[m] + sd.apply_delta(c)
+            vec = new
+        return vec
+
+    if f.is_zero() or g.is_zero():
+        return ore_zero(f.sd)
+    out = [ZERO_POLY] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(g.coeffs):
+            if b.is_zero():
+                continue
+            for m, c in enumerate(base_times_x_power(a, j, f.sd)):
+                if not c.is_zero():
+                    out[i + m] = out[i + m] + c * b
+    return ore_from_coeffs(out, f.sd)
+
+
+def _dense_ore(rnd, sd, n):
+    return ore_from_coeffs([random_poly(rnd, nonzero=True) for _ in range(n)], sd)
 
 
 def test_base_poly_arithmetic():
@@ -237,3 +272,60 @@ def test_ore_add_and_display():
     assert g.coeffs[0] == ONE_POLY
     assert "x^2" in f.display()
     assert OrePoly((), WEYL).display() == "0"
+
+
+def test_ore_mul_matches_reference_product():
+    rnd = random.Random(10)
+    for sd in TWISTS:
+        for _ in range(60):
+            f = random_ore(rnd, sd, max_deg_x=11)
+            g = random_ore(rnd, sd, max_deg_x=11)
+            assert ore_mul(f, g) == _reference_mul(f, g), sd
+
+
+def test_ore_ring_laws_random():
+    rnd = random.Random(11)
+    for sd in TWISTS:
+        for _ in range(40):
+            f, g, h = (random_ore(rnd, sd, max_deg_x=4) for _ in range(3))
+            assert ore_mul(ore_mul(f, g), h) == ore_mul(f, ore_mul(g, h)), sd
+            assert ore_mul(ore_add(f, g), h) == ore_add(ore_mul(f, h), ore_mul(g, h)), sd
+            assert ore_mul(f, ore_add(g, h)) == ore_add(ore_mul(f, g), ore_mul(f, h)), sd
+
+
+@pytest.mark.parametrize("n", [9, 21])
+@pytest.mark.parametrize("sd", [weyl(), quantum_plane(3)], ids=["weyl", "qplane"])
+def test_ore_mul_sigma_applications_are_bounded(monkeypatch, sd, n):
+    # pushing f * x^j one x at a time costs O((deg f + deg g) * deg g)
+    # applications of the rule; rebuilding a * x^j per pair costs far more
+    calls = 0
+    apply_sigma = SigmaDelta.apply_sigma
+
+    def counting(self, p, k=1):
+        nonlocal calls
+        calls += 1
+        return apply_sigma(self, p, k)
+
+    rnd = random.Random(n)
+    f, g = _dense_ore(rnd, sd, n), _dense_ore(rnd, sd, n)
+    monkeypatch.setattr(SigmaDelta, "apply_sigma", counting)
+    ore_mul(f, g)
+    assert 0 < calls <= (len(f.coeffs) + len(g.coeffs)) * len(g.coeffs)
+
+
+def test_poly_kernel_stays_exact():
+    def exact(p):
+        return all(type(c) is Fraction for c in p.coeffs)
+
+    p, q = Poly.of(1, -2, 3), Poly.of(Fraction(1, 2), 0, 0, 5)
+    assert all(exact(r) for r in (p + q, q + p, p * q, p.derivative(), q.derivative()))
+    assert exact(p.scale_argument(Fraction(3))) and exact(p.scale_argument(Fraction(3) ** -2))
+    assert p.scale_argument(Fraction(3) ** -2) == Poly.of(1, Fraction(-2, 9), Fraction(3, 81))
+    assert exact(QPLANE.apply_sigma(q, -3))
+    assert SigmaDelta("scale", "zero", 3).apply_sigma(Poly.of(1, 1), -1) == Poly.of(1, Fraction(1, 3))
+    rnd = random.Random(12)
+    for sd in TWISTS:
+        f, g = _dense_ore(rnd, sd, 5), _dense_ore(rnd, sd, 5)
+        assert all(exact(c) for c in ore_mul(f, g).coeffs)
+    assert (Poly.of(1, 1) + Poly.of(0, -1)).coeffs == (Fraction(1),)
+    assert (Poly.of(1, 1) + Poly.of(-1, -1)).is_zero()

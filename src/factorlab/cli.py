@@ -30,8 +30,9 @@ def _word(text: str):
 
 
 def cmd_normalize(args) -> int:
-    nf = monoid.normalize(_word(args.word))
-    g = groups.embed(_word(args.word))
+    word = _word(args.word)
+    nf = monoid.normalize(word)
+    g = groups.embed(word)
     _emit(
         args,
         {"input": args.word, "normal_form": nf.display(), "group_element": g.display()},

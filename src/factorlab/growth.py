@@ -3,9 +3,13 @@
 For a monoid algebra the span of 1 and the generators is a frame, and the
 dimension of its n-th power equals the number of monoid elements whose
 minimal word length is at most n: the monoid elements are a basis and a
-canonical normalizer with length-minimal normal forms identifies them.  The
-table builder therefore just counts canonical keys of words, or parameter
-tuples when a direct enumeration of canonical forms is available.
+canonical normalizer with length-minimal normal forms identifies them.
+
+The built-in families are counted by proven formulas, length by length:
+``2^n`` free words, ``n + 1`` commutative exponent pairs, and a linear
+recurrence for the canonical tuples of the two-relator monoid (derived in
+:func:`_two_relator_counts`).  :func:`table_from_words` counts canonical keys
+of enumerated words instead; it serves as the independent cross-check.
 
 Classification of a finished table into polynomial or exponential growth is
 a heuristic against the usual rubric (degree-d polynomial growth pinches
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Iterator, Optional
 
 from . import monoid
 from .words import Alphabet, Word, enumerate_words
@@ -73,11 +77,19 @@ def _check_bounds(n_max: int, budget: int) -> None:
         raise ValueError(f"budget must be positive: {budget}")
 
 
-def _cumulative_table(frame: str, counts: list[int], truncated_at: Optional[int]) -> GrowthTable:
-    """Table of running totals of ``counts`` (new elements per minimal length),
-    cut just before ``truncated_at``, the first length that broke the budget."""
-    top = len(counts) if truncated_at is None else truncated_at
-    return GrowthTable(frame, tuple(enumerate(itertools.accumulate(counts[:top]))), truncated_at)
+def _table_from_counts(frame: str, counts: Iterator[int], n_max: int, budget: int) -> GrowthTable:
+    """Table of running totals of ``counts`` (new elements per minimal length)
+    for n <= n_max.  It stops at the first n whose running total exceeds the
+    budget and reports that n as ``truncated_at``."""
+    _check_bounds(n_max, budget)
+    entries: list[tuple[int, int]] = []
+    total = 0
+    for n, count in zip(range(n_max + 1), counts):
+        total += count
+        if total > budget:
+            return GrowthTable(frame, tuple(entries), n)
+        entries.append((n, total))
+    return GrowthTable(frame, tuple(entries))
 
 
 def table_from_words(
@@ -107,58 +119,54 @@ def table_from_words(
         if key not in seen:
             seen.add(key)
             new_at_length[len(w)] += 1
-    return _cumulative_table(frame, new_at_length, truncated_at)
+    top = n_max + 1 if truncated_at is None else truncated_at
+    return GrowthTable(frame, tuple(enumerate(itertools.accumulate(new_at_length[:top]))), truncated_at)
 
 
-def two_relator_table(n_max: int, budget: int = DEFAULT_BUDGET) -> GrowthTable:
-    """Growth table of the two-relator monoid by direct enumeration of
-    canonical parameter tuples (no word search, no deduplication)."""
-    _check_bounds(n_max, budget)
-    counts = [0] * (n_max + 1)
-    produced = 0
-    truncated_at: Optional[int] = None
-    for nf in monoid.enumerate_elements(n_max):
-        produced += 1
-        if produced > budget:
-            truncated_at = nf.length
-            break
-        counts[nf.length] += 1
-    return _cumulative_table("two-relator monoid frame {1, a, b}", counts, truncated_at)
+def _two_relator_counts() -> Iterator[int]:
+    """Number of two-relator monoid elements of minimal length n, n = 0, 1, ...
 
+    Canonical words are length-minimal and distinct tuples are distinct
+    elements (:class:`~factorlab.groups.NormalForm`), so this counts the
+    tuples of length n.  Their grammar is a head ``b^h``, then either no
+    block or a first block whose a-run is in {1, 2, 3} (2 only when h = 0)
+    followed by blocks whose a-runs are in {1, 3}, every block closing with a
+    b-run >= 1, then any tail ``a^t``.  Write ``B = z/(1 - z)`` for a b-run.
+    The tail gives the outer ``1/(1-z)``; inside, ``1/(1-z)`` is a head with
+    no block, ``(z + z^3)/(1-z) + z^2`` a head with its first a-run, and
+    ``B/(1 - (z + z^3) B)`` the b-run closing the first block followed by the
+    later blocks:
 
-def free_commutative_table(n_max: int, budget: int = DEFAULT_BUDGET) -> GrowthTable:
-    """Growth table of the free commutative monoid on two generators, by
-    direct enumeration of its canonical exponent pairs."""
-    _check_bounds(n_max, budget)
-    counts = [0] * (n_max + 1)
-    produced = 0
-    truncated_at: Optional[int] = None
-    for total in range(n_max + 1):
-        for _first in range(total + 1):
-            produced += 1
-            if produced > budget:
-                truncated_at = total
-                break
-            counts[total] += 1
-        if truncated_at is not None:
-            break
-    return _cumulative_table("free commutative monoid on 2 generators", counts, truncated_at)
+        G(z) = 1/(1-z) * [1/(1-z) + ((z + z^3)/(1-z) + z^2) * B/(1 - (z + z^3) B)]
+             = 1/(1-z) * [1/(1-z) + (z + z^2)/(1-z) * z/(1 - z - z^2 - z^4)]
+             = (1 + z^3) / ((1 - z)(1 - z - z^2 - z^4)).
+
+    Multiplying by ``1 - z - z^2 - z^4`` leaves ``(1 + z^3)/(1 - z) =
+    1 + z + z^2 + 2z^3 + 2z^4 + ...``, so ``c_n = c_{n-1} + c_{n-2} +
+    c_{n-4} + 2`` for n >= 4, from the seeds 1, 2, 4, 8 (the transfer-matrix
+    method, Stanley, Enumerative Combinatorics I, 4.7).
+    """
+    window = [1, 2, 4, 8]  # c_{n-4} .. c_{n-1}
+    yield from window
+    while True:
+        window = window[1:] + [window[3] + window[2] + window[0] + 2]
+        yield window[3]
 
 
 def builtin_table(family: str, n_max: int, budget: int = DEFAULT_BUDGET) -> GrowthTable:
-    """Tables for the built-in frames.
+    """Tables for the built-in frames, from their per-length element counts.
 
-    ``free``: two free generators, every word is its own canonical form.
-    ``free-commutative``: canonical forms are exponent pairs.
-    ``two-relator``: the monoid of :mod:`factorlab.monoid`.
+    ``free``: two free generators, every word is its own canonical form, 2^n
+    of length n.  ``free-commutative``: canonical forms are exponent pairs,
+    n + 1 of total n.  ``two-relator``: the monoid of
+    :mod:`factorlab.monoid`, counted by :func:`_two_relator_counts`.
     """
-    two = Alphabet.from_names(("a", "b"))
     if family == "free":
-        return table_from_words(two, lambda w: w.letters, n_max, "free monoid on 2 generators", budget)
+        return _table_from_counts("free monoid on 2 generators", (2**n for n in itertools.count()), n_max, budget)
     if family == "free-commutative":
-        return free_commutative_table(n_max, budget)
+        return _table_from_counts("free commutative monoid on 2 generators", itertools.count(1), n_max, budget)
     if family == "two-relator":
-        return two_relator_table(n_max, budget)
+        return _table_from_counts("two-relator monoid frame {1, a, b}", _two_relator_counts(), n_max, budget)
     raise ValueError(f"unknown family: {family!r} (free, free-commutative, two-relator)")
 
 

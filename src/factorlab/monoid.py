@@ -24,15 +24,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .groups import ALPHABET, NormalForm, left_quotient, right_quotient
-from .words import Word, parse_word
+from .words import MAX_LETTERS, Word
 
-A = Word(ALPHABET, ("a",))
 B = Word(ALPHABET, ("b",))
-
-RELATIONS = (
-    (parse_word("b a a b", ALPHABET), parse_word("a a", ALPHABET)),
-    (parse_word("a a a a b", ALPHABET), parse_word("b a a a a", ALPHABET)),
-)
 
 
 class ChainVerificationError(RuntimeError):
@@ -189,44 +183,38 @@ class LengthSetReport:
         return tuple(sorted(self.lengths))
 
 
+def _has_aa(x: NormalForm) -> bool:
+    """Whether the canonical word of ``x`` contains ``aa``, i.e. has an a-run >= 2."""
+    return x.tail_a >= 2 or any(a_run >= 2 for a_run, _ in x.blocks)
+
+
 def length_set(x: NormalForm, cap: int) -> LengthSetReport:
-    """All factorization lengths of ``x`` up to ``cap``.
+    """All factorization lengths of ``x`` up to ``cap``, read off the normal form.
 
     The atoms are exactly the two generators, so the factorization lengths of
-    an element are precisely the lengths of the words representing it.  The
-    congruence class is closed breadth-first by applying both relations in
-    both directions at every position, never visiting words longer than
-    ``cap``; ``exhausted`` is False when some lengthening application was
-    suppressed by the cap, i.e. when completeness of ``lengths`` relies on
-    the cutoff rather than on the closure having stabilized.
+    ``x`` are the lengths of the words representing it.  With ``L = x.length``
+    they are ``{L}`` when the canonical word has no ``aa``, and every
+    ``L + 2k`` (k >= 0) otherwise:
+
+    * every relation side (``baab``, ``aa``, ``aaaab``, ``baaaa``) contains
+      ``aa``, so no relation applies to a word without ``aa`` and such a word
+      is alone in its class;
+    * ``u aa v = u b^k aa b^k v`` gives a word of every length ``L + 2k``;
+    * each relation changes the length by 0 or +-2, so all representing
+      words have the parity of ``L``, and none is shorter than ``L`` because
+      canonical words are length-minimal (:class:`NormalForm`).
+
+    ``exhausted`` is True exactly when the set is finite; False means the set
+    is infinite and ``cap`` cut it off.  ``cap`` may not exceed
+    ``words.MAX_LETTERS``, the longest word the package accepts.
     """
     if cap < x.length:
         raise ValueError(f"cap {cap} below minimal word length {x.length}")
-    moves = [(lhs.letters, rhs.letters) for lhs, rhs in RELATIONS]
-    moves += [(rhs, lhs) for lhs, rhs in moves]
-    start = x.letters()
-    seen = {start}
-    frontier = [start]
-    suppressed = False
-    while frontier:
-        next_frontier = []
-        for wrd in frontier:
-            n = len(wrd)
-            for pat, rep in moves:
-                delta = len(rep) - len(pat)
-                for pos in range(n - len(pat) + 1):
-                    if wrd[pos : pos + len(pat)] != pat:
-                        continue
-                    if n + delta > cap:
-                        suppressed = True
-                        continue
-                    new = wrd[:pos] + rep + wrd[pos + len(pat) :]
-                    if new not in seen:
-                        seen.add(new)
-                        next_frontier.append(new)
-        frontier = next_frontier
-    lengths = frozenset(len(wrd) for wrd in seen)
-    return LengthSetReport(x, cap, lengths, not suppressed)
+    if cap > MAX_LETTERS:
+        raise ValueError(f"cap {cap} above the limit of {MAX_LETTERS} letters")
+    if _has_aa(x):
+        return LengthSetReport(x, cap, frozenset(range(x.length, cap + 1, 2)), False)
+    return LengthSetReport(x, cap, frozenset((x.length,)), True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -363,21 +351,23 @@ def refute_right_length(evaluator):
 
 
 def nonunit_power_witness(x: NormalForm, n: int) -> list[NormalForm]:
-    """Express x as a product of exactly n nonunits, if a representing word of
-    length >= n exists among the b-bordered representatives; used to probe how
-    deep x sits inside powers of the nonunit set."""
+    """Express x as a product of exactly n nonunits, used to probe how deep x
+    sits inside powers of the nonunit set.
+
+    A representing word of length >= n exists iff ``n <= x.length`` or the
+    canonical word contains ``aa`` (see :func:`length_set`); in the latter
+    case its first ``aa`` is replaced by ``b^k aa b^k``.  Otherwise raises
+    ``ValueError``.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     letters = x.letters()
-    k = 0
-    while len(letters) < n:
-        # pad with the identity a^2 = b^k a^2 b^k, which only works for
-        # elements right- and left-absorbing b-powers; fall back to error
-        k += 1
-        candidate = ("b",) * k + x.letters() + ("b",) * k
-        if _normal_form(candidate) != x:
+    if len(letters) < n:
+        if not _has_aa(x):
             raise ValueError(f"{x} has no representing word of length >= {n}")
-        letters = candidate
+        k = (n - len(letters) + 1) // 2
+        pos = next(p for p in range(len(letters) - 1) if letters[p : p + 2] == ("a", "a"))
+        letters = letters[:pos] + ("b",) * k + ("a", "a") + ("b",) * k + letters[pos + 2 :]
     # split into n nonempty chunks
     cuts = [round(i * len(letters) / n) for i in range(n + 1)]
     factors = [_normal_form(letters[cuts[i] : cuts[i + 1]]) for i in range(n)]

@@ -430,10 +430,6 @@ def laurent(coeffs: dict[int, Poly], sd: SigmaDelta) -> LaurentOrePoly:
     return LaurentOrePoly(tuple(items), sd)
 
 
-def laurent_zero(sd: SigmaDelta) -> LaurentOrePoly:
-    return LaurentOrePoly((), sd)
-
-
 def laurent_add(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
     if f.sd != g.sd:
         raise ValueError("operands carry different twist data")

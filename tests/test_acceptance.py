@@ -133,7 +133,7 @@ def test_criterion_09_growth_baselines():
     commutative = growth.builtin_table("free-commutative", 16)
     free_exact = all(d == 2 ** (n + 1) - 1 for n, d in free.entries)
     commutative_exact = all(2 * d == (n + 1) * (n + 2) for n, d in commutative.entries)
-    tuples = growth.two_relator_table(10)
+    tuples = growth.builtin_table("two-relator", 10)
     oracle = growth.two_relator_table_by_oracle(10)
     _criterion(
         9,

@@ -49,6 +49,10 @@ def test_lengths_cap_error(capsys):
     code, _, err = run(capsys, "lengths", "a a", "--cap", "1")
     assert code == 2
     assert "error" in err
+    # a cap longer than any accepted word is refused before the set is built
+    code, out, err = run(capsys, "lengths", "a a", "--cap", str(10**12))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "cap" in err
 
 
 def test_accp(capsys):

@@ -1,13 +1,15 @@
+import itertools
+
 import pytest
 
 from factorlab import monoid
 from factorlab.groups import ALPHABET
 from factorlab.growth import (
+    DEFAULT_BUDGET,
     GrowthTable,
     builtin_table,
     classify,
     table_from_words,
-    two_relator_table,
     two_relator_table_by_oracle,
 )
 
@@ -29,7 +31,7 @@ def test_two_relator_small_dimensions():
 
 
 def test_two_relator_tables_agree_up_to_10():
-    by_tuples = two_relator_table(10)
+    by_tuples = builtin_table("two-relator", 10)
     by_oracle = two_relator_table_by_oracle(10)
     assert by_tuples.entries == by_oracle.entries
 
@@ -38,7 +40,7 @@ def test_word_table_with_normalizer_key():
     # a third computation of the same dimensions, keyed by the rewriting
     # normalizer instead of the group embedding
     table = table_from_words(ALPHABET, monoid.normalize, 8, "two-relator")
-    assert table.entries == two_relator_table(8).entries
+    assert table.entries == builtin_table("two-relator", 8).entries
 
 
 def test_entries_strictly_increasing():
@@ -94,21 +96,48 @@ def _two_relator_closed_form(n_max):
     return dims
 
 
+def _enumerated_table(family, n_max, budget, two_relator_lengths):
+    """(entries, truncated_at) by enumeration, the budget capping the elements
+    produced: words for ``free``, canonical tuples (given by their lengths in
+    shortlex order) for ``two-relator``, exponent pairs for ``free-commutative``."""
+    if family == "free":
+        table = table_from_words(ALPHABET, lambda w: w.letters, n_max, "free", budget)
+        return table.entries, table.truncated_at
+    if family == "two-relator":
+        lengths = itertools.takewhile(lambda n: n <= n_max, two_relator_lengths)
+    else:
+        lengths = (total for total in range(n_max + 1) for _first in range(total + 1))
+    counts = [0] * (n_max + 1)
+    truncated_at = None
+    for produced, n in enumerate(lengths, 1):
+        if produced > budget:
+            truncated_at = n
+            break
+        counts[n] += 1
+    top = n_max + 1 if truncated_at is None else truncated_at
+    return tuple(enumerate(itertools.accumulate(counts[:top]))), truncated_at
+
+
 def test_budget_truncation_matches_closed_forms():
-    n_max = 8
+    n_max = 14
     closed = {
         "free": [2 ** (n + 1) - 1 for n in range(n_max + 1)],
         "free-commutative": [(n + 1) * (n + 2) // 2 for n in range(n_max + 1)],
         "two-relator": _two_relator_closed_form(n_max),
     }
     assert closed["two-relator"] == list(builtin_table("two-relator", n_max).dims())
+    two_relator_lengths = [nf.length for nf in monoid.enumerate_elements(n_max)]
     for family, dims in closed.items():
-        for budget in range(1, 61):
+        for budget in [*range(1, 200), DEFAULT_BUDGET]:
             over = [n for n, d in enumerate(dims) if d > budget]
             cut = over[0] if over else None
             table = builtin_table(family, n_max, budget)
             assert table.truncated_at == cut, (family, budget)
             assert table.entries == tuple(enumerate(dims[:cut])), (family, budget)
+            for top in range(n_max + 1):
+                table = builtin_table(family, top, budget)
+                enumerated = _enumerated_table(family, top, budget, two_relator_lengths)
+                assert (table.entries, table.truncated_at) == enumerated, (family, top, budget)
         with pytest.raises(ValueError):
             builtin_table(family, n_max, budget=0)
 

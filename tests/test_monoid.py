@@ -18,7 +18,7 @@ from factorlab.monoid import (
     right_length_refutation_triples,
     verify_accp_failure,
 )
-from factorlab.words import enumerate_words, parse_word
+from factorlab.words import MAX_LETTERS, enumerate_words, parse_word
 
 
 def w(text):
@@ -26,6 +26,39 @@ def w(text):
 
 
 AA = NormalForm(0, (), 2)
+
+RELATIONS = (
+    (w("b a a b").letters, w("a a").letters),
+    (w("a a a a b").letters, w("b a a a a").letters),
+)
+
+
+def _bfs_length_set(x, cap):
+    """Reference for ``length_set``: close the class of the canonical word
+    breadth-first under both relations in both directions, never visiting
+    words longer than ``cap``.  ``exhausted`` is False when the cap
+    suppressed some lengthening application."""
+    moves = list(RELATIONS) + [(rhs, lhs) for lhs, rhs in RELATIONS]
+    start = x.letters()
+    seen = {start}
+    frontier = [start]
+    suppressed = False
+    while frontier:
+        next_frontier = []
+        for wrd in frontier:
+            for pat, rep in moves:
+                for pos in range(len(wrd) - len(pat) + 1):
+                    if wrd[pos : pos + len(pat)] != pat:
+                        continue
+                    if len(wrd) - len(pat) + len(rep) > cap:
+                        suppressed = True
+                        continue
+                    new = wrd[:pos] + rep + wrd[pos + len(pat) :]
+                    if new not in seen:
+                        seen.add(new)
+                        next_frontier.append(new)
+        frontier = next_frontier
+    return frozenset(len(wrd) for wrd in seen), not suppressed
 
 
 def test_normalize_defining_relations():
@@ -135,6 +168,19 @@ def test_length_set_examples():
     assert length_set(NormalForm(), 3).sorted_lengths() == (0,)
     with pytest.raises(ValueError):
         length_set(AA, 1)
+    for x in (AA, normalize(w("b"))):  # the cap is bounded like a word's length
+        with pytest.raises(ValueError):
+            length_set(x, MAX_LETTERS + 1)
+
+
+def test_length_set_matches_breadth_first_closure():
+    pairs = 0
+    for nf in enumerate_elements(9):
+        for cap in range(nf.length, nf.length + 7):
+            report = length_set(nf, cap)
+            assert (report.lengths, report.exhausted) == _bfs_length_set(nf, cap), (nf, cap)
+            pairs += 1
+    assert pairs == 4228
 
 
 def test_length_set_parity_invariant():
@@ -220,6 +266,14 @@ def test_every_candidate_length_function_is_refuted():
 def test_nonunit_power_witness():
     for n in range(1, 11):
         factors = monoid.nonunit_power_witness(AA, n)
+        assert len(factors) == n
+        assert all(not f.is_identity() for f in factors)
+    # b a^3 b is not a^3, so the padding goes around the first aa: a^3 = b a a b a
+    assert not equal(w("b a^3 b"), w("a^3"))
+    cube = normalize(w("a^3"))
+    assert equal(w("b a a b a"), cube.word())
+    for n in range(1, 10):
+        factors = monoid.nonunit_power_witness(cube, n)
         assert len(factors) == n
         assert all(not f.is_identity() for f in factors)
     with pytest.raises(ValueError):

@@ -7,11 +7,17 @@ and collect coefficients, so every ring identity that holds here holds on the
 nose; there are no tolerances anywhere in this module.
 
 The divisibility probe searches for an exact right cofactor with support in a
-finite candidate set by solving a linear system over the field.  Definite
-negative answers come from two obstructions: the a-degree is additive on
-nonzero products, and a (scalar multiple of a) single monoid element can only
-be a product of scalar multiples of monoid elements, so monomial-by-monomial
-division reduces to an exact division in the monoid.
+finite candidate set by solving a linear system over the field.  Each column
+``f * candidate`` has only as many nonzeros as f has terms, so the system
+splits into connected components, and only those containing a term of the
+target are solved; the cofactor is the one the whole system would give,
+because elimination picks pivots left to right within each block and blocks
+with a zero right-hand side contribute zero.
+
+Definite negative answers come from two obstructions: the a-degree is
+additive on nonzero products, and a (scalar multiple of a) single monoid
+element can only be a product of scalar multiples of monoid elements, so
+monomial-by-monomial division reduces to an exact division in the monoid.
 """
 
 from __future__ import annotations
@@ -130,12 +136,6 @@ class AlgebraElement:
 
     def support(self) -> tuple[NormalForm, ...]:
         return tuple(nf for nf, _ in self.terms)
-
-    def coeff(self, nf: NormalForm) -> Scalar:
-        for s, c in self.terms:
-            if s == nf:
-                return c
-        return self.field.zero
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -256,6 +256,28 @@ def _solve_exact(field: Field, rows: list[list[Scalar]], rhs: list[Scalar]) -> O
     return solution
 
 
+def _touching_columns(columns: list[dict[NormalForm, Scalar]], target: Iterable[NormalForm]) -> list[int]:
+    """Indices, in order, of the columns whose connected component contains a
+    target row.  Rows are joined by a union-find whenever one column has
+    nonzeros in both."""
+    parent: dict[NormalForm, NormalForm] = {}
+
+    def find(x: NormalForm) -> NormalForm:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for column in columns:
+        keys = iter(column)
+        root = find(next(keys))
+        for key in keys:
+            parent[find(key)] = root
+    live = {find(t) for t in target}
+    return [j for j, column in enumerate(columns) if find(next(iter(column))) in live]
+
+
 def divides_right(f: AlgebraElement, g: AlgebraElement, search_cap: int = 6) -> DivisionResult:
     """Probe whether g lies in f * (algebra): bounded but certified.
 
@@ -266,7 +288,20 @@ def divides_right(f: AlgebraElement, g: AlgebraElement, search_cap: int = 6) -> 
     division (divisors of monomials are monomials).  Otherwise the bounded
     search over cofactor supports of canonical length <= search_cap is
     inconclusive and ``unknown`` is returned.
+
+    The search solves ``sum_j x_j * (f * c_j) = g`` over the candidates c_j
+    of a-count <= deg_a(g) - deg_a(f) in shortlex order, but only on the
+    connected components of the system that contain a term of g.  This
+    returns the same cofactor as solving the whole system: the matrix is
+    block-diagonal up to a permutation of rows and columns, and elimination
+    picks pivot columns left to right, so the pivot set is the union of the
+    per-block pivot sets.  With free variables set to zero the solution is
+    unique given the pivots, so blocks whose right-hand side is zero
+    contribute zero.  A term of g that no column reaches still leaves the
+    system inconsistent.
     """
+    if search_cap < 0:
+        raise ValueError(f"search cap must be non-negative, got {search_cap}")
     if f.is_zero():
         raise ValueError("left factor must be nonzero")
     if g.is_zero():
@@ -282,19 +317,22 @@ def divides_right(f: AlgebraElement, g: AlgebraElement, search_cap: int = 6) -> 
         h = monomial(f.field, v, f.field.mul(ct, f.field.inv(cs)))
         assert alg_mul(f, h) == g
         return DivisionResult("yes", h)
-    budget = deg_a(g) - deg_a(f)
-    candidates = [nf for nf in monoid.enumerate_elements(search_cap) if nf.a_count <= budget]
-    products = [alg_mul(f, monomial(f.field, nf)) for nf in candidates]
-    support: list[NormalForm] = sorted(
-        {nf for p in products for nf in p.support()} | set(g.support()),
-        key=NormalForm.shortlex_key,
+    field = f.field
+    candidates = list(monoid.enumerate_elements(search_cap, deg_a(g) - deg_a(f)))
+    # The monoid embeds in a group, so it is cancellative: the products
+    # s * nf over the support of f are distinct and no coefficients collect.
+    columns = [{monoid.multiply(s, nf): c for s, c in f.terms} for nf in candidates]
+    target = dict(g.terms)
+    kept = _touching_columns(columns, target)
+    support = sorted(
+        {key for j in kept for key in columns[j]} | set(target), key=NormalForm.shortlex_key
     )
-    rows = [[p.coeff(nf) for p in products] for nf in support]
-    rhs = [g.coeff(nf) for nf in support]
-    solution = _solve_exact(f.field, rows, rhs)
+    rows = [[columns[j].get(key, field.zero) for j in kept] for key in support]
+    rhs = [target.get(key, field.zero) for key in support]
+    solution = _solve_exact(field, rows, rhs)
     if solution is None:
         return DivisionResult("unknown")
-    h = from_terms(f.field, [(nf, c) for nf, c in zip(candidates, solution) if c != 0])
+    h = from_terms(field, [(candidates[j], c) for j, c in zip(kept, solution) if c != 0])
     if alg_mul(f, h) != g:  # pragma: no cover - the solver is exact
         return DivisionResult("unknown")
     return DivisionResult("yes", h)

@@ -116,33 +116,41 @@ def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
     return _normal_form(x.letters() + y.letters())
 
 
-def enumerate_elements(max_len: int) -> Iterator[NormalForm]:
-    """Yield each monoid element of minimal word length <= max_len once.
+def enumerate_elements(max_len: int, max_a: Optional[int] = None) -> Iterator[NormalForm]:
+    """Yield each monoid element of minimal word length <= max_len, and of
+    a-count <= max_a when given, once.
 
     Canonical words are length-minimal, so generating the valid parameter
-    tuples directly enumerates elements without any deduplication.  Yields in
-    shortlex order of the canonical words.
+    tuples directly enumerates elements without any deduplication; the
+    a-count bound prunes blocks and tail a-runs while they are generated.
+    Yields in shortlex order of the canonical words.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
+    if max_a is None:
+        max_a = max_len
     found: list[NormalForm] = []
 
-    def block_suffixes(budget: int, first: bool, head_b: int):
+    def block_suffixes(budget: int, a_budget: int, first: bool, head_b: int):
         # sequences of (a_run, b_run) blocks using total length <= budget
+        # and at most a_budget letters a
         yield ()
         a_choices = (1, 2, 3) if first else (1, 3)
         for a_run in a_choices:
+            if a_run > a_budget:
+                break
             if first and a_run == 2 and head_b != 0:
                 continue
             for b_run in range(1, budget - a_run + 1):
                 used = a_run + b_run
-                for rest in block_suffixes(budget - used, False, head_b):
+                for rest in block_suffixes(budget - used, a_budget - a_run, False, head_b):
                     yield ((a_run, b_run),) + rest
 
     for head_b in range(max_len + 1):
-        for blocks in block_suffixes(max_len - head_b, True, head_b):
+        for blocks in block_suffixes(max_len - head_b, max_a, True, head_b):
             used = head_b + sum(a + b for a, b in blocks)
-            for tail_a in range(max_len - used + 1):
+            a_used = sum(a for a, _ in blocks)
+            for tail_a in range(min(max_len - used, max_a - a_used) + 1):
                 found.append(NormalForm(head_b, blocks, tail_a))
     found.sort(key=NormalForm.shortlex_key)
     yield from found

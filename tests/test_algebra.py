@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from factorlab import monoid
+from factorlab import algebra, monoid
 from factorlab.algebra import (
     NEG_INF,
     AlgebraElement,
+    DivisionResult,
     Field,
     alg_add,
     alg_mul,
@@ -21,7 +22,7 @@ from factorlab.algebra import (
     zero,
     _solve_exact,
 )
-from factorlab.groups import NormalForm
+from factorlab.groups import NormalForm, left_quotient
 from factorlab.monoid import enumerate_elements, normalize
 from factorlab.words import parse_word
 
@@ -123,6 +124,8 @@ def test_divides_right_zero_and_errors():
     assert divides_right(aa, zero(Q)).status == "yes"
     with pytest.raises(ValueError):
         divides_right(zero(Q), aa)
+    with pytest.raises(ValueError, match="-1"):
+        divides_right(monomial(Q, nf("a")), aa, -1)
     with pytest.raises(ValueError):
         alg_add(monomial(Q, nf("a")), monomial(Field.prime(7), nf("a")))
 
@@ -158,6 +161,83 @@ def test_solver_prefers_shortlex_least_support():
     assert alg_mul(f, division.cofactor) == g
 
 
+def _dense_divides_right(f, g, search_cap):
+    """The former divides_right: filter the full enumeration by a-count and
+    eliminate every candidate column against every support row densely."""
+    if f.is_zero():
+        raise ValueError("left factor must be nonzero")
+    if g.is_zero():
+        return DivisionResult("yes", zero(f.field))
+    if deg_a(f) > deg_a(g):
+        return DivisionResult("no")
+    if f.is_monomial() and g.is_monomial():
+        (s, cs), (t, ct) = f.terms[0], g.terms[0]
+        v = left_quotient(s.word(), t.word())
+        if v is None:
+            return DivisionResult("no")
+        return DivisionResult("yes", monomial(f.field, v, f.field.mul(ct, f.field.inv(cs))))
+    budget = deg_a(g) - deg_a(f)
+    candidates = [c for c in enumerate_elements(search_cap) if c.a_count <= budget]
+    products = [dict(alg_mul(f, monomial(f.field, c)).terms) for c in candidates]
+    target = dict(g.terms)
+    support = sorted({s for p in products for s in p} | set(target), key=NormalForm.shortlex_key)
+    rows = [[p.get(s, f.field.zero) for p in products] for s in support]
+    rhs = [target.get(s, f.field.zero) for s in support]
+    solution = _solve_exact(f.field, rows, rhs)
+    if solution is None:
+        return DivisionResult("unknown")
+    h = from_terms(f.field, [(c, x) for c, x in zip(candidates, solution) if x != 0])
+    assert alg_mul(f, h) == g
+    return DivisionResult("yes", h)
+
+
+def _nonzero_element(rnd, field, pool, max_terms):
+    while True:
+        f = random_element(rnd, field, pool, max_terms)
+        if not f.is_zero():
+            return f
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(101)], ids=["Q", "F101"])
+def test_divides_right_matches_dense_reference(field):
+    rnd = random.Random(909 if field.modulus else 808)
+    pool = list(enumerate_elements(3))
+    statuses = []
+    for cap in range(2, 7):
+        cofactors = list(enumerate_elements(cap))
+        for _ in range(5):
+            f = _nonzero_element(rnd, field, pool, 3)
+            h = _nonzero_element(rnd, field, cofactors, 3)
+            yes = alg_mul(f, h)
+            extra = monomial(field, rnd.choice(cofactors), field.from_int(rnd.randint(1, 4)))
+            perturbed = alg_add(yes, extra)
+            heavy = alg_mul(yes, monomial(field, nf("a")))
+            for g, f_side in ((yes, f), (perturbed, f), (f, heavy)):
+                result = divides_right(f_side, g, cap)
+                assert result == _dense_divides_right(f_side, g, cap), (cap, f_side, g)
+                statuses.append(result.status)
+    assert {"yes", "no", "unknown"} <= set(statuses)
+    assert statuses.count("yes") >= 25
+
+
+def test_divides_right_solves_only_the_touched_components(monkeypatch):
+    # the bounded-division system at cap 8 is 200 x 114 when solved whole
+    f = elem("1 * a + 2 * b a")
+    g = elem("1 * a a b + 3 * b a a + 1 * a^3")
+    expected = _dense_divides_right(f, g, 8)
+    shapes = []
+
+    def recording(field, rows, rhs):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return _solve_exact(field, rows, rhs)
+
+    monkeypatch.setattr(algebra, "_solve_exact", recording)
+    assert divides_right(f, g, 8) == expected
+    assert len(shapes) == 1
+    n_rows, n_cols = shapes[0]
+    assert 0 < n_rows <= 20 and 0 < n_cols <= 20
+
+
 def test_solve_exact_inconsistent():
     rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
     assert _solve_exact(Q, rows, [Fraction(1), Fraction(3)]) is None
@@ -175,7 +255,7 @@ def test_prime_field_arithmetic():
     f7 = Field.prime(7)
     x = parse_element("3 * a + 5 * b", f7)
     sq = alg_mul(x, x)
-    assert sq.coeff(nf("a a")) == 2  # 9 mod 7
+    assert dict(sq.terms)[nf("a a")] == 2  # 9 mod 7
     assert f7.inv(3) == 5
     with pytest.raises(ValueError):
         Field.prime(6)

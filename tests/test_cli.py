@@ -83,6 +83,14 @@ def test_alg_commands(capsys):
     assert code == 2 and "rhs" in err
 
 
+@pytest.mark.parametrize("lhs, rhs", [("1 * a + 1 * b", "1 * a^2 + 1 * b"), ("1 * a", "1 * a a")])
+def test_alg_divides_rejects_a_negative_cap(capsys, lhs, rhs):
+    # the solver path and the monomial fast path refuse the cap alike
+    code, out, err = run(capsys, "alg", "divides", lhs, rhs, "--cap", "-1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "cap" in err and "-1" in err
+
+
 def test_growth_csv_and_json(capsys):
     code, out, _ = run(capsys, "growth", "--family", "free", "--n-max", "8")
     lines = out.splitlines()

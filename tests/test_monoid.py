@@ -111,6 +111,13 @@ def test_enumerate_elements_matches_word_classes():
         assert set(forms) == classes
 
 
+def test_enumerate_elements_a_count_bound_matches_filtering():
+    for cap in range(10):
+        full = list(enumerate_elements(cap))
+        for max_a in range(8):
+            assert list(enumerate_elements(cap, max_a)) == [x for x in full if x.a_count <= max_a]
+
+
 def test_enumerate_elements_minimal_lengths():
     # canonical words are length-minimal, so enumeration by tuples equals
     # enumeration by shortest representatives

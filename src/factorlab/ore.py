@@ -566,28 +566,3 @@ def check_filtration_additivity(pairs: int, seed: int = 0) -> tuple[int, int]:
             bad += 1
     return pairs, bad
 
-
-def parse_ore_poly(text: str, sd: SigmaDelta) -> OrePoly:
-    """Parse a literal like ``x^2*(y+1) + x*(3) + (1/2)``.
-
-    The literal is read with commuting symbols and the coefficient of x^i
-    becomes the right coefficient a_i, matching the f = sum_i x^i a_i
-    convention; negative x-powers are rejected.
-    """
-    from .xy_poly import parse_laurent_poly
-
-    flat = parse_laurent_poly(text)
-    by_x: dict[int, dict[int, Fraction]] = {}
-    for (i, j), coeff in flat.terms:
-        if j < 0:
-            raise ValueError("base coefficients must be polynomials in y")
-        by_x.setdefault(i, {})[j] = coeff
-    if not by_x:
-        return ore_zero(sd)
-    top = max(by_x)
-    coeffs = []
-    for i in range(top + 1):
-        ys = by_x.get(i, {})
-        size = max(ys) + 1 if ys else 0
-        coeffs.append(_poly([ys.get(k, Fraction(0)) for k in range(size)]))
-    return _ore(coeffs, sd)

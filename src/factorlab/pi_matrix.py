@@ -11,9 +11,9 @@ The ring fails to be atomic, and the failure has a hands-on witness: any
 member whose entire second column is divisible by x and whose determinant is
 nonzero factors as diag(1, y) times another member of the same shape (scale
 the second row by 1/y).  diag(1, y) lies in the ring but its inverse does
-not, so it is a nonunit, and the peeling step can be repeated forever.  The
-chain driver below performs the peeling exactly and re-checks membership,
-shape, determinant, and the nonunit cofactor at every step.
+not, so it is a nonunit, and the peeling step can be repeated forever.  Each
+claim is checked once: ``peel`` certifies every step, and ``peel_chain`` the
+nonunit cofactor, which is the same matrix at every step.
 """
 
 from __future__ import annotations
@@ -83,15 +83,18 @@ def is_special_form(m: Mat2) -> bool:
 def peel(m: Mat2) -> tuple[Mat2, Mat2]:
     """Split a special-form matrix as diag(1, y) * (same shape).
 
-    Returns (U, rest) with U * rest == m exactly; U is a ring member whose
-    inverse leaves the ring, rest is again special-form, and
-    det(rest) = det(m)/y.
+    Returns (PEEL_UNIT, rest), rest being m with its second row scaled by 1/y,
+    so det(rest) = det(m)/y.  Before returning it checks, once each, that rest
+    is in the ring, that rest is special-form (so det(rest) != 0), and that
+    PEEL_UNIT * rest == m exactly.  ``peel_chain`` checks that PEEL_UNIT is a
+    nonunit.
     """
     if not is_special_form(m):
         raise ValueError("peel requires the special form (second column in xS, det != 0)")
     rest = Mat2(m.a11, m.a12, m.a21 * Y_INV, m.a22 * Y_INV)
-    if PEEL_UNIT * rest != m:  # pragma: no cover - exact arithmetic
-        raise AssertionError("peel failed to reproduce the input")
+    checks = (in_ring(rest), is_special_form(rest), PEEL_UNIT * rest == m)
+    if not all(checks):  # pragma: no cover - exact arithmetic
+        raise AssertionError(f"peel certificate failed: {checks}")
     return PEEL_UNIT, rest
 
 
@@ -103,31 +106,23 @@ class PeelStep:
 
 
 def peel_chain(m: Mat2, steps: int) -> Iterator[PeelStep]:
-    """Iterate the peeling, certifying every intermediate claim.
+    """Iterate the peeling; every step is certified before it is yielded.
 
-    Each step checks: the cofactor is in the ring while its inverse is not,
-    the remainder is in the ring, special-form, has nonzero determinant, and
-    the product reproduces the previous matrix exactly.
+    The cofactor is PEEL_UNIT at every step, so its nonunit claim (it is in
+    the ring, its inverse is not) is checked once, before the first step.
+    Each remainder's membership, special shape, nonzero determinant and
+    exact product are checked inside ``peel``.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     if not in_ring(m):
         raise ValueError("starting matrix is not in the ring")
+    if not in_ring(PEEL_UNIT) or in_ring(PEEL_UNIT_INVERSE):  # pragma: no cover - fixed matrices
+        raise AssertionError("diag(1, y) is not a nonunit of the ring")
     current = m
     for k in range(1, steps + 1):
-        unit, rest = peel(current)
-        checks = (
-            in_ring(unit),
-            not in_ring(PEEL_UNIT_INVERSE),
-            in_ring(rest),
-            is_special_form(rest),
-            not rest.det().is_zero(),
-            unit * rest == current,
-        )
-        if not all(checks):  # pragma: no cover - exact arithmetic
-            raise AssertionError(f"peeling invariant failed at step {k}: {checks}")
-        yield PeelStep(k, unit, rest)
-        current = rest
+        unit, current = peel(current)
+        yield PeelStep(k, unit, current)
 
 
 def power(m: Mat2, k: int) -> Mat2:

@@ -1,10 +1,9 @@
-"""Exact arithmetic in Q[x, y, y^{-1}] and a small expression parser.
+"""Exact arithmetic in Q[x, y, y^{-1}] and the matrix-entry parser.
 
 Terms are indexed by an x-exponent (non-negative: x is not invertible) and an
-arbitrary integer y-exponent, with rational coefficients.  The parser accepts
-sums of products of numbers, ``x``, ``y``, powers like ``y^-1`` or ``x^2``,
-and parenthesized subexpressions, which covers both matrix entry literals and
-skew-polynomial literals such as ``x^2*(y+1) + x*(3) + (1/2)``.
+arbitrary integer y-exponent, with rational coefficients.  The parser reads
+matrix entry literals: sums of products of numbers, ``x``, ``y``, powers like
+``y^-1`` or ``x^2``, and parenthesized subexpressions such as ``x*(y+1)``.
 """
 
 from __future__ import annotations

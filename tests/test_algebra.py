@@ -130,6 +130,19 @@ def test_divides_right_zero_and_errors():
         alg_add(monomial(Q, nf("a")), monomial(Field.prime(7), nf("a")))
 
 
+@pytest.mark.parametrize(
+    "f_text, h_text",
+    [("1 * a", "1 * b"), ("1 * a + 2 * b a", "1 * a + 1 * b")],
+    ids=["monomial", "solver"],
+)
+def test_divides_right_raises_when_the_cofactor_does_not_multiply_back(monkeypatch, f_text, h_text):
+    f = elem(f_text)
+    g = alg_mul(f, elem(h_text))
+    monkeypatch.setattr(algebra, "alg_mul", lambda left, right: alg_add(g, g))
+    with pytest.raises(monoid.ChainVerificationError):
+        divides_right(f, g, 4)
+
+
 def test_algebra_level_chain_mirrors_the_monoid_chain():
     b = monomial(Q, nf("b"))
     for k in range(11):
@@ -261,6 +274,22 @@ def test_prime_field_arithmetic():
         Field.prime(6)
     with pytest.raises(ZeroDivisionError):
         f7.inv(0)
+    sieve = [False, False] + [True] * (10**4 - 2)
+    for n in range(2, 100):
+        if sieve[n]:
+            sieve[n * n :: n] = [False] * len(range(n * n, 10**4, n))
+    assert [n for n in range(10**4) if _accepts_modulus(n)] == [n for n in range(10**4) if sieve[n]]
+    assert _accepts_modulus(2147483647)
+    for strong_pseudoprime in (2047, 1373653, 25326001):
+        assert not _accepts_modulus(strong_pseudoprime)
+
+
+def _accepts_modulus(p):
+    try:
+        Field.prime(p)
+    except ValueError:
+        return False
+    return True
 
 
 def test_field_scalar_parsing():

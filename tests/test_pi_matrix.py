@@ -80,6 +80,21 @@ def test_peel_chain_ten_steps():
     assert steps[-1].remainder.det() == demo_matrix().det() * power_of_y_inv(10)
 
 
+def test_peel_chain_forms_each_product_once(monkeypatch):
+    start = demo_matrix()
+    products = 0
+    multiply = LaurentPoly2.__mul__
+
+    def counting(p, q):
+        nonlocal products
+        products += 1
+        return multiply(p, q)
+
+    monkeypatch.setattr(LaurentPoly2, "__mul__", counting)
+    assert len(list(peel_chain(start, 25))) == 25
+    assert products <= 14 * 25
+
+
 def power_of_y_inv(k):
     out = ONE
     for _ in range(k):

@@ -117,9 +117,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> tuple[NormalForm, ...]:
-        return tuple(nf for nf, _ in self.terms)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -166,17 +163,6 @@ def alg_add(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     for nf, c in g.terms:
         acc[nf] = f.field.add(acc.get(nf, f.field.zero), c)
     return _build(f.field, acc)
-
-
-def alg_neg(f: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(f.field, tuple((nf, f.field.neg(c)) for nf, c in f.terms))
-
-def alg_sub(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    return alg_add(f, alg_neg(g))
-
-
-def alg_scale(f: AlgebraElement, scalar: Scalar) -> AlgebraElement:
-    return _build(f.field, {nf: f.field.mul(c, scalar) for nf, c in f.terms})
 
 
 def alg_mul(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:

@@ -237,7 +237,7 @@ def cmd_lenfn_check(args) -> int:
         "candidate": args.candidate,
         "bound": bound,
         "refuted": refuted,
-        "report": json.loads(report.to_json(lambda nf: nf.display())),
+        "report": report.as_dict(lambda nf: nf.display()),
     }
     lines = [
         f"candidate {args.candidate!r}: searched b-bordered triples up to n = {bound}",

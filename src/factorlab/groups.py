@@ -207,8 +207,12 @@ class NormalForm:
         return (self.length, self.letters())
 
     def display(self) -> str:
-        """Exponent-explicit canonical word, e.g. ``b^2 a^3 b^1 a^2``."""
-        return self.word().display_exponents()
+        """Exponent-explicit canonical word, e.g. ``b^2 a^3 b^1 a^2``; ``e`` if empty."""
+        runs = [("b", self.head_b)]
+        for a_run, b_run in self.blocks:
+            runs += [("a", a_run), ("b", b_run)]
+        runs.append(("a", self.tail_a))
+        return " ".join(f"{ch}^{n}" for ch, n in runs if n) or "e"
 
     def __str__(self) -> str:
         return self.display()

@@ -54,9 +54,6 @@ class GrowthTable:
     entries: tuple[tuple[int, int], ...]  # (n, dim V^n)
     truncated_at: Optional[int] = None  # first n that exceeded the budget
 
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.entries)
-
     def csv(self) -> str:
         lines = ["n,dim"] + [f"{n},{d}" for n, d in self.entries]
         if self.truncated_at is not None:
@@ -170,7 +167,7 @@ def builtin_table(family: str, n_max: int, budget: int = DEFAULT_BUDGET) -> Grow
     raise ValueError(f"unknown family: {family!r} (free, free-commutative, two-relator)")
 
 
-def two_relator_table_by_oracle(n_max: int, budget: int = DEFAULT_BUDGET) -> GrowthTable:
+def two_relator_table_by_oracle(n_max: int) -> GrowthTable:
     """Independent recomputation of the two-relator table: enumerate words and
     deduplicate by the group embedding instead of by parameter tuples."""
     from . import groups
@@ -180,7 +177,6 @@ def two_relator_table_by_oracle(n_max: int, budget: int = DEFAULT_BUDGET) -> Gro
         lambda w: groups.embed(w),
         n_max,
         "two-relator monoid frame {1, a, b} (oracle dedup)",
-        budget,
     )
 
 

@@ -16,9 +16,8 @@ harness never invents factorizations of its own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Sequence
+from typing import Any, Callable, Sequence
 
 RIGHT = "right"
 TWO_SIDED = "two-sided"
@@ -59,26 +58,24 @@ class ViolationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self, describe: Callable[[Any], str] = str) -> str:
-        return json.dumps(
-            {
-                "contract": self.contract,
-                "samples": self.sample_size,
-                "violations": [
-                    {
-                        "a": describe(v.whole),
-                        "b": describe(v.left),
-                        "c": describe(v.right),
-                        "lambda_a": v.value_whole,
-                        "lambda_b": v.value_left,
-                        "lambda_c": v.value_right,
-                        "reason": v.reason,
-                    }
-                    for v in self.violations
-                ],
-            },
-            indent=2,
-        )
+    def as_dict(self, describe: Callable[[Any], str]) -> dict[str, Any]:
+        """The report as plain data, each element shown by ``describe``."""
+        return {
+            "contract": self.contract,
+            "samples": self.sample_size,
+            "violations": [
+                {
+                    "a": describe(v.whole),
+                    "b": describe(v.left),
+                    "c": describe(v.right),
+                    "lambda_a": v.value_whole,
+                    "lambda_b": v.value_left,
+                    "lambda_c": v.value_right,
+                    "reason": v.reason,
+                }
+                for v in self.violations
+            ],
+        }
 
 
 def check_contract(
@@ -122,30 +119,3 @@ def check_contract(
                     Violation(whole, left, right, lam_w, lam_l, lam_r, "no strict drop against left factor")
                 )
     return ViolationReport(spec.flavor, len(samples), tuple(violations))
-
-
-def bf_bound_check(spec: LengthFunctionSpec, element: Any, lengths: Collection[int]) -> bool:
-    """Whether the observed factorization lengths respect max L <= lambda."""
-    observed = getattr(lengths, "lengths", lengths)
-    return max(observed) <= spec.evaluator(element)
-
-
-def implication_chain_reports(
-    evaluator: Callable[[Any], int],
-    is_unit: Callable[[Any], bool],
-    samples: Sequence[tuple[Any, Any, Any]],
-    multiply: Callable[[Any, Any], Any],
-    equals: Callable[[Any, Any], bool],
-    name: str = "lambda",
-) -> dict[str, ViolationReport]:
-    """Run the same evaluator against all three contracts on one sample set.
-
-    A superadditive pass must entail a two-sided pass, which must entail a
-    right pass; callers assert that monotonicity.
-    """
-    return {
-        flavor: check_contract(
-            LengthFunctionSpec(evaluator, flavor, is_unit, name), samples, multiply, equals
-        )
-        for flavor in _FLAVORS
-    }

@@ -107,10 +107,6 @@ def normalize(w: Word) -> NormalForm:
     return _normal_form(w.letters)
 
 
-def equal(u: Word, v: Word) -> bool:
-    return normalize(u) == normalize(v)
-
-
 def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
     """Product in the monoid, as canonical forms."""
     return _normal_form(x.letters() + y.letters())
@@ -356,34 +352,3 @@ def refute_right_length(evaluator):
     )
     report = lengths.check_contract(spec, triples, multiply, lambda x, y: x == y)
     return report, bound
-
-
-def nonunit_power_witness(x: NormalForm, n: int) -> list[NormalForm]:
-    """Express x as a product of exactly n nonunits, used to probe how deep x
-    sits inside powers of the nonunit set.
-
-    A representing word of length >= n exists iff ``n <= x.length`` or the
-    canonical word contains ``aa`` (see :func:`length_set`); in the latter
-    case its first ``aa`` is replaced by ``b^k aa b^k``.  Otherwise raises
-    ``ValueError``.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    letters = x.letters()
-    if len(letters) < n:
-        if not _has_aa(x):
-            raise ValueError(f"{x} has no representing word of length >= {n}")
-        k = (n - len(letters) + 1) // 2
-        pos = next(p for p in range(len(letters) - 1) if letters[p : p + 2] == ("a", "a"))
-        letters = letters[:pos] + ("b",) * k + ("a", "a") + ("b",) * k + letters[pos + 2 :]
-    # split into n nonempty chunks
-    cuts = [round(i * len(letters) / n) for i in range(n + 1)]
-    factors = [_normal_form(letters[cuts[i] : cuts[i + 1]]) for i in range(n)]
-    if any(f.is_identity() for f in factors):  # pragma: no cover
-        raise ValueError("degenerate chunking")
-    product = factors[0]
-    for f in factors[1:]:
-        product = multiply(product, f)
-    if product != x:
-        raise ChainVerificationError("nonunit power witness failed to multiply back")
-    return factors

@@ -64,9 +64,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def deg(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
     def leading(self) -> Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -149,7 +146,6 @@ def _poly(coeffs: Sequence) -> Poly:
 
 
 ZERO_POLY = Poly()
-ONE_POLY = Poly.of(1)
 Y = Poly.of(0, 1)
 
 
@@ -291,27 +287,8 @@ def ore_zero(sd: SigmaDelta) -> OrePoly:
     return OrePoly((), sd)
 
 
-def ore_from_base(p: Poly, sd: SigmaDelta) -> OrePoly:
-    return _ore([p], sd)
-
-
-def ore_x(sd: SigmaDelta, power: int = 1) -> OrePoly:
-    return _ore([ZERO_POLY] * power + [ONE_POLY], sd)
-
-
 def ore_from_coeffs(coeffs: Iterable[Poly], sd: SigmaDelta) -> OrePoly:
     return _ore(list(coeffs), sd)
-
-
-def ore_add(f: OrePoly, g: OrePoly) -> OrePoly:
-    _same_twist(f, g)
-    n = max(len(f.coeffs), len(g.coeffs))
-    out = [ZERO_POLY] * n
-    for i, c in enumerate(f.coeffs):
-        out[i] = out[i] + c
-    for i, c in enumerate(g.coeffs):
-        out[i] = out[i] + c
-    return _ore(out, f.sd)
 
 
 def _same_twist(f: OrePoly, g: OrePoly) -> None:
@@ -430,15 +407,6 @@ def laurent(coeffs: dict[int, Poly], sd: SigmaDelta) -> LaurentOrePoly:
     return LaurentOrePoly(tuple(items), sd)
 
 
-def laurent_add(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
-    if f.sd != g.sd:
-        raise ValueError("operands carry different twist data")
-    acc = {e: c for e, c in f.coeffs}
-    for e, c in g.coeffs:
-        acc[e] = acc.get(e, ZERO_POLY) + c
-    return laurent(acc, f.sd)
-
-
 def laurent_mul(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
     if f.sd != g.sd:
         raise ValueError("operands carry different twist data")
@@ -486,27 +454,30 @@ class LawCheckResult:
         return self.right_length_violations == 0 and self.leading_law_violations == 0
 
 
-def random_poly(rng, max_deg: int = 3, bound: int = 4, nonzero: bool = False) -> Poly:
+def random_poly(rng, nonzero: bool = False) -> Poly:
+    """Up to 4 coefficients, each drawn from -4..4."""
     while True:
-        p = _poly([Fraction(rng.randint(-bound, bound)) for _ in range(rng.randint(0, max_deg + 1))])
+        p = _poly([Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(0, 4))])
         if not nonzero or not p.is_zero():
             return p
 
 
-def random_ore(rng, sd: SigmaDelta, max_deg_x: int = 3, nonzero: bool = False) -> OrePoly:
+def random_ore(rng, sd: SigmaDelta, nonzero: bool = False) -> OrePoly:
+    """Up to 4 x-coefficients, each a :func:`random_poly`."""
     while True:
-        f = _ore([random_poly(rng) for _ in range(rng.randint(0, max_deg_x + 1))], sd)
+        f = _ore([random_poly(rng) for _ in range(rng.randint(0, 4))], sd)
         if not nonzero or not f.is_zero():
             return f
 
 
-def random_laurent(rng, sd: SigmaDelta, span: int = 3, nonzero: bool = False) -> LaurentOrePoly:
+def random_laurent(rng, sd: SigmaDelta, nonzero: bool = False) -> LaurentOrePoly:
+    """Up to 3 :func:`random_poly` terms at x-exponents drawn from -3..3."""
     while True:
         acc: dict[int, Poly] = {}
         for _ in range(rng.randint(0, 3)):
             p = random_poly(rng)
             if not p.is_zero():
-                e = rng.randint(-span, span)
+                e = rng.randint(-3, 3)
                 acc[e] = acc.get(e, ZERO_POLY) + p
         f = laurent(acc, sd)
         if not nonzero or not f.is_zero():

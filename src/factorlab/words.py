@@ -1,7 +1,7 @@
 """Alphabets, words, and shortlex enumeration of words.
 
 Words are immutable sequences of generator names over a fixed alphabet;
-equality is structural and concatenation is the free-monoid product.
+equality is structural.
 """
 
 from __future__ import annotations
@@ -46,35 +46,15 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __add__(self, other: "Word") -> "Word":
-        return concat(self, other)
-
-    def runs(self) -> list[tuple[str, int]]:
-        """Run-length encoding, e.g. ``baab`` -> [(b,1), (a,2), (b,1)]."""
-        return [(ch, len(list(grp))) for ch, grp in itertools.groupby(self.letters)]
-
-    def count(self, name: str) -> int:
-        return sum(1 for l in self.letters if l == name)
-
     def display(self) -> str:
+        """Runs with exponents above 1, e.g. ``b a^2 b``; ``e`` if empty."""
         if not self.letters:
             return "e"
-        return " ".join(f"{ch}^{n}" if n > 1 else ch for ch, n in self.runs())
-
-    def display_exponents(self) -> str:
-        """Exponent-explicit form, e.g. ``b^2 a^3 b^1 a^2``; ``e`` if empty."""
-        if not self.letters:
-            return "e"
-        return " ".join(f"{ch}^{n}" for ch, n in self.runs())
+        runs = ((ch, len(list(grp))) for ch, grp in itertools.groupby(self.letters))
+        return " ".join(f"{ch}^{n}" if n > 1 else ch for ch, n in runs)
 
     def __str__(self) -> str:
         return self.display()
-
-
-def concat(u: Word, v: Word) -> Word:
-    if u.alphabet != v.alphabet:
-        raise ValueError("cannot concatenate words over different alphabets")
-    return Word(u.alphabet, u.letters + v.letters)
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

@@ -115,12 +115,28 @@ def _tokenize(text: str) -> list[str]:
 #: stack frames, so this stays well inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
+#: Most term products one literal may cost: every product of an ``m``-term
+#: and an ``n``-term polynomial counts ``max(1, m*n)``, and a negative power
+#: ``t^-k`` counts ``k``.  At a few microseconds per term product this keeps
+#: a literal to about a second.
+MAX_TERM_PRODUCTS = 10**5
+
 
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.work = 0
+
+    def charge(self, products: int) -> None:
+        self.work += products
+        if self.work > MAX_TERM_PRODUCTS:
+            raise ValueError(f"polynomial literal needs more than {MAX_TERM_PRODUCTS} term products")
+
+    def mul(self, f: LaurentPoly2, g: LaurentPoly2) -> LaurentPoly2:
+        self.charge(max(1, len(f.terms) * len(g.terms)))
+        return f * g
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -137,13 +153,13 @@ class _Parser:
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        result = self.parse_term() * LaurentPoly2.constant(sign)
+        result = self.mul(self.parse_term(), LaurentPoly2.constant(sign))
         while self.peek() in ("+", "-"):
             sign = Fraction(1)
             while self.peek() in ("+", "-"):
                 if self.take() == "-":
                     sign = -sign
-            result = result + self.parse_term() * LaurentPoly2.constant(sign)
+            result = result + self.mul(self.parse_term(), LaurentPoly2.constant(sign))
         return result
 
     def parse_term(self) -> LaurentPoly2:
@@ -153,7 +169,7 @@ class _Parser:
         ):
             if self.peek() == "*":
                 self.take()
-            result = result * self.parse_factor()
+            result = self.mul(result, self.parse_factor())
         return result
 
     def parse_factor(self) -> LaurentPoly2:
@@ -168,7 +184,7 @@ class _Parser:
             if not exp_tok.isdigit():
                 raise ValueError(f"bad exponent {exp_tok!r}")
             exponent = sign * int(exp_tok)
-            return _power(base, exponent)
+            return self.power(base, exponent)
         return base
 
     def parse_atom(self) -> LaurentPoly2:
@@ -193,19 +209,19 @@ class _Parser:
                 raise ValueError(f"number {tok!r} divides by zero") from None
         raise ValueError(f"unexpected token {tok!r} in polynomial literal")
 
-
-def _power(base: LaurentPoly2, exponent: int) -> LaurentPoly2:
-    if exponent >= 0:
-        out = ONE
-        for _ in range(exponent):
-            out = out * base
-        return out
-    if len(base.terms) != 1:
-        raise ValueError("negative powers only apply to single terms")
-    (i, j), coeff = base.terms[0]
-    if i != 0:
-        raise ValueError("x is not invertible")
-    return LaurentPoly2.term(0, j * exponent, coeff**exponent)
+    def power(self, base: LaurentPoly2, exponent: int) -> LaurentPoly2:
+        if exponent >= 0:
+            out = ONE
+            for _ in range(exponent):
+                out = self.mul(out, base)
+            return out
+        if len(base.terms) != 1:
+            raise ValueError("negative powers only apply to single terms")
+        (i, j), coeff = base.terms[0]
+        if i != 0:
+            raise ValueError("x is not invertible")
+        self.charge(-exponent)
+        return LaurentPoly2.term(0, j * exponent, coeff**exponent)
 
 
 def parse_laurent_poly(text: str) -> LaurentPoly2:

@@ -11,9 +11,6 @@ from factorlab.algebra import (
     Field,
     alg_add,
     alg_mul,
-    alg_neg,
-    alg_scale,
-    alg_sub,
     deg_a,
     divides_right,
     from_terms,
@@ -103,8 +100,7 @@ def test_ring_axioms_on_random_triples(field):
         assert alg_mul(alg_mul(f, g), h) == alg_mul(f, alg_mul(g, h))
         assert alg_mul(f, alg_add(g, h)) == alg_add(alg_mul(f, g), alg_mul(f, h))
         assert alg_mul(alg_add(f, g), h) == alg_add(alg_mul(f, h), alg_mul(g, h))
-        assert alg_add(f, alg_neg(f)).is_zero()
-        assert alg_sub(f, f).is_zero()
+        assert alg_add(f, from_terms(field, [(s, field.neg(c)) for s, c in f.terms])).is_zero()
 
 
 def test_divides_right_examples():
@@ -301,6 +297,6 @@ def test_field_scalar_parsing():
 def test_coefficients_never_zero():
     f = elem("1 * a + 1 * b")
     g = elem("1 * a + -1 * b")
-    assert alg_sub(alg_add(f, g), alg_scale(monomial(Q, nf("a")), Fraction(2))).is_zero()
+    assert alg_add(alg_add(f, g), from_terms(Q, [(nf("a"), Fraction(-2))])).is_zero()
     with pytest.raises(ValueError):
         AlgebraElement(Q, ((NormalForm(), Fraction(0)),))

@@ -163,6 +163,12 @@ def test_deeply_nested_matrix_literal_is_an_input_error(capsys):
     assert code == 2 and "nested" in err
 
 
+def test_over_budget_matrix_literal_is_an_input_error(capsys):
+    code, out, err = run(capsys, "pi-demo", "--matrix", "1; x; 1; x*y^1000000000000")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "term products" in err
+
+
 def test_pairs_must_be_positive(capsys):
     for command in ("skew-check", "filt-check"):
         for pairs in ("-5", "0"):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -146,7 +148,7 @@ def test_right_quotient_examples():
 @given(letter_lists, letter_lists)
 def test_division_soundness(u_letters, v_letters):
     u, v = Word(ALPHABET, tuple(u_letters)), Word(ALPHABET, tuple(v_letters))
-    x = u + v
+    x = Word(ALPHABET, u.letters + v.letters)
     cofactor = left_quotient(u, x)
     assert cofactor is not None
     assert monoid.multiply(monoid.normalize(u), cofactor) == monoid.normalize(x)
@@ -173,3 +175,12 @@ def test_normal_form_validation():
     assert nf.a_count == 7
     assert nf.b_count == 3
     assert nf.display() == "b^2 a^3 b^1 a^4"
+
+
+def test_display_round_trips_through_the_parser():
+    assert NormalForm().display() == "e"
+    for nf in monoid.enumerate_elements(10):
+        text = nf.display()
+        if not nf.is_identity():
+            assert all(re.fullmatch(r"[ab]\^[1-9]\d*", tok) for tok in text.split()), text
+        assert monoid.normalize(w(text)) == nf

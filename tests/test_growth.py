@@ -45,7 +45,7 @@ def test_word_table_with_normalizer_key():
 
 def test_entries_strictly_increasing():
     for family in ("free", "free-commutative", "two-relator"):
-        dims = builtin_table(family, 12).dims()
+        dims = [d for _, d in builtin_table(family, 12).entries]
         assert all(b > a for a, b in zip(dims, dims[1:]))
 
 
@@ -125,7 +125,7 @@ def test_budget_truncation_matches_closed_forms():
         "free-commutative": [(n + 1) * (n + 2) // 2 for n in range(n_max + 1)],
         "two-relator": _two_relator_closed_form(n_max),
     }
-    assert closed["two-relator"] == list(builtin_table("two-relator", n_max).dims())
+    assert closed["two-relator"] == [d for _, d in builtin_table("two-relator", n_max).entries]
     two_relator_lengths = [nf.length for nf in monoid.enumerate_elements(n_max)]
     for family, dims in closed.items():
         for budget in [*range(1, 200), DEFAULT_BUDGET]:

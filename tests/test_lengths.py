@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -11,12 +10,10 @@ from factorlab.lengths import (
     TWO_SIDED,
     LengthFunctionSpec,
     ViolationReport,
-    bf_bound_check,
     check_contract,
-    implication_chain_reports,
 )
-from factorlab.monoid import length_set, multiply, normalize
-from factorlab.words import Alphabet, Word, parse_word
+from factorlab.monoid import length_set, multiply
+from factorlab.words import Alphabet, Word
 
 AB = Alphabet.from_names(("a", "b"))
 
@@ -27,17 +24,25 @@ def free_triples(rnd, count):
     for _ in range(count):
         left = Word(AB, tuple(rnd.choice("ab") for _ in range(rnd.randint(0, 6))))
         right = Word(AB, tuple(rnd.choice("ab") for _ in range(rnd.randint(0, 6))))
-        triples.append((left + right, left, right))
+        triples.append((Word(AB, left.letters + right.letters), left, right))
     return triples
 
 
-FREE_OPS = dict(multiply=lambda u, v: u + v, equals=lambda u, v: u == v)
+FREE_OPS = dict(multiply=lambda u, v: Word(AB, u.letters + v.letters), equals=lambda u, v: u == v)
+
+
+def reports_by_contract(evaluator, is_unit, samples, multiply, equals):
+    """One evaluator checked against all three contracts on one sample set."""
+    return {
+        flavor: check_contract(LengthFunctionSpec(evaluator, flavor, is_unit), samples, multiply, equals)
+        for flavor in (RIGHT, TWO_SIDED, SUPERADDITIVE)
+    }
 
 
 def test_word_length_is_a_length_function_on_the_free_monoid():
     rnd = random.Random(1)
     samples = free_triples(rnd, 100)
-    reports = implication_chain_reports(
+    reports = reports_by_contract(
         len, lambda word: len(word) == 0, samples, **FREE_OPS
     )
     assert all(report.ok() for report in reports.values())
@@ -50,7 +55,10 @@ def test_degree_is_a_length_function_on_polynomials():
         f = ore.random_poly(rnd, nonzero=True)
         g = ore.random_poly(rnd, nonzero=True)
         samples.append((f * g, f, g))
-    reports = implication_chain_reports(
+    # y^2 - 1 = (y - 1)(y + 1): two atoms, degree two
+    samples.append((ore.Poly.of(-1, 0, 1), ore.Poly.of(-1, 1), ore.Poly.of(1, 1)))
+    assert ore.Poly.of(-1, 1) * ore.Poly.of(1, 1) == ore.Poly.of(-1, 0, 1)
+    reports = reports_by_contract(
         ore.base_weight, ore.Poly.is_unit, samples, multiply=lambda p, q: p * q,
         equals=lambda p, q: p == q,
     )
@@ -76,7 +84,7 @@ def test_implication_chain_is_monotone():
     samples = free_triples(rnd, 60)
     evaluators = [len, lambda word: 2 * len(word), lambda word: len(word) + 1]
     for evaluator in evaluators:
-        reports = implication_chain_reports(
+        reports = reports_by_contract(
             evaluator, lambda word: len(word) == 0, samples, **FREE_OPS
         )
         if reports[SUPERADDITIVE].ok():
@@ -91,7 +99,7 @@ def test_implications_are_strict():
     # whenever both factors are nonempty: superadditivity fails
     rnd = random.Random(9)
     samples = [t for t in free_triples(rnd, 80) if len(t[1]) > 0 and len(t[2]) > 0]
-    reports = implication_chain_reports(
+    reports = reports_by_contract(
         lambda word: len(word) + 1, lambda word: len(word) == 0, samples, **FREE_OPS
     )
     assert reports[RIGHT].ok()
@@ -128,38 +136,16 @@ def test_right_length_functions_are_positive_on_nonunits():
                 assert spec.evaluator(element) > 0
 
 
-def test_bf_bound_on_free_monoid_word():
-    spec = LengthFunctionSpec(len, RIGHT, lambda word: len(word) == 0)
-    x = parse_word("a b a b", AB)
-    assert bf_bound_check(spec, x, [4])
-    assert not bf_bound_check(spec, x, [5])
-
-
-def test_bf_bound_on_polynomials():
-    # y^2 - 1 = (y - 1)(y + 1): two atoms, degree two
-    spec = LengthFunctionSpec(ore.base_weight, RIGHT, ore.Poly.is_unit)
-    y2m1 = ore.Poly.of(-1, 0, 1)
-    assert (ore.Poly.of(-1, 1) * ore.Poly.of(1, 1)) == y2m1
-    assert bf_bound_check(spec, y2m1, [2])
-
-
-def test_bf_bound_accepts_length_set_reports():
-    spec = LengthFunctionSpec(lambda nf: nf.length, RIGHT, NormalForm.is_identity)
-    b = normalize(parse_word("b", monoid.ALPHABET))
-    assert bf_bound_check(spec, b, length_set(b, 5))
-
-
 def test_monoid_has_no_right_length_function():
     # the executable content of the no-BF statement: every candidate dies on
-    # the b-bordered triple family, and a^2 sits in arbitrarily deep products
-    # of nonunits (depth probed to 10; emptiness would be needed for BF)
+    # the b-bordered triple family, and a^2 is a product of every even number
+    # of atoms (lengths probed to 20; a bound would be needed for BF)
     for name, evaluator in monoid.CANDIDATE_LENGTH_FUNCTIONS.items():
         report, bound = monoid.refute_right_length(evaluator)
         assert not report.ok(), name
-    aa = NormalForm(0, (), 2)
-    for depth in range(1, 11):
-        factors = monoid.nonunit_power_witness(aa, depth)
-        assert len(factors) == depth
+    report = length_set(NormalForm(0, (), 2), 20)
+    assert report.sorted_lengths() == tuple(range(2, 21, 2))
+    assert not report.exhausted
 
 
 def test_report_json_schema():
@@ -170,7 +156,7 @@ def test_report_json_schema():
     report = check_contract(
         spec, triples, multiply=multiply, equals=lambda x, y: x == y
     )
-    doc = json.loads(report.to_json(lambda nf: nf.display()))
+    doc = report.as_dict(lambda nf: nf.display())
     assert doc["contract"] == RIGHT
     assert doc["samples"] == len(triples)
     assert doc["violations"], "the a-count candidate must be refuted"
@@ -181,4 +167,4 @@ def test_report_json_schema():
 def test_report_ok_shape():
     report = ViolationReport(RIGHT, 0, ())
     assert report.ok()
-    assert json.loads(report.to_json())["violations"] == []
+    assert report.as_dict(str)["violations"] == []

@@ -161,3 +161,12 @@ def test_xy_poly_guards():
         parse_laurent_poly("(y+1)^-1")
     assert parse_laurent_poly("(y+1)^2") == parse_laurent_poly("y^2 + 2*y + 1")
     assert parse_laurent_poly("-y + 3") == parse_laurent_poly("3 - y")
+
+
+def test_literal_work_is_bounded():
+    # y^k forms k products, so the term-product budget refuses it instead of
+    # multiplying on; a zero base still counts one product per factor
+    for text in ("y^300000", "0^1000000000000", "y^-1000000000000"):
+        with pytest.raises(ValueError, match="term products"):
+            parse_laurent_poly(text)
+    assert parse_laurent_poly("y^1000") == LaurentPoly2.term(0, 1000)

@@ -1,38 +1,12 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from factorlab.words import Alphabet, Word, concat, enumerate_words, parse_word
+from factorlab.words import Alphabet, Word, enumerate_words, parse_word
 
 AB = Alphabet.from_names(("a", "b"))
 
 
 def w(text: str) -> Word:
     return parse_word(text, AB)
-
-
-ab_words = st.builds(
-    lambda letters: Word(AB, tuple(letters)), st.lists(st.sampled_from(["a", "b"]), max_size=12)
-)
-
-
-def test_concat_examples():
-    assert concat(w("e"), w("e")) == w("e")
-    assert concat(w("a b"), w("b a")) == w("a b b a")
-    assert concat(w("b"), w("a a b")) == w("b a a b")
-
-
-def test_concat_alphabet_mismatch():
-    other = Alphabet.from_names(("a", "b", "c"))
-    with pytest.raises(ValueError):
-        concat(w("a"), Word(other, ("a",)))
-
-
-@given(ab_words, ab_words, ab_words)
-def test_concat_associative_with_identity(u, v, x):
-    assert concat(concat(u, v), x) == concat(u, concat(v, x))
-    assert concat(u, Word(AB)) == u == concat(Word(AB), u)
-    assert len(concat(u, v)) == len(u) + len(v)
 
 
 def test_enumerate_words_counts_and_order():
@@ -54,7 +28,6 @@ def test_enumerate_words_shortlex():
 
 
 def test_word_display_and_parse():
-    assert w("b^2 a^3").display_exponents() == "b^2 a^3"
     assert w("e").display() == "e"
     assert parse_word("b^2 a^3 b^1 a^2", AB).letters == w("b b a a a b a a").letters
     with pytest.raises(ValueError):

@@ -55,9 +55,6 @@ def test_degree_is_a_length_function_on_polynomials():
         f = ore.random_poly(rnd, nonzero=True)
         g = ore.random_poly(rnd, nonzero=True)
         samples.append((f * g, f, g))
-    # y^2 - 1 = (y - 1)(y + 1): two atoms, degree two
-    samples.append((ore.Poly.of(-1, 0, 1), ore.Poly.of(-1, 1), ore.Poly.of(1, 1)))
-    assert ore.Poly.of(-1, 1) * ore.Poly.of(1, 1) == ore.Poly.of(-1, 0, 1)
     reports = reports_by_contract(
         ore.base_weight, ore.Poly.is_unit, samples, multiply=lambda p, q: p * q,
         equals=lambda p, q: p == q,
@@ -134,6 +131,18 @@ def test_right_length_functions_are_positive_on_nonunits():
         for element in (whole, left, right):
             if len(element) > 0:
                 assert spec.evaluator(element) > 0
+
+
+def test_bf_bound_on_polynomials():
+    # y^2 - 1 = (y - 1)(y + 1): two atoms, degree two, so the observed
+    # factorization length respects the bound max L <= deg
+    y2m1 = ore.Poly.of(-1, 0, 1)
+    factors = (ore.Poly.of(-1, 1), ore.Poly.of(1, 1))
+    assert factors[0] * factors[1] == y2m1
+    assert not any(ore.Poly.is_unit(f) for f in factors)
+    assert len(factors) <= ore.base_weight(y2m1) == 2
+    spec = LengthFunctionSpec(ore.base_weight, RIGHT, ore.Poly.is_unit)
+    assert check_contract(spec, [(y2m1, *factors)], lambda p, q: p * q, lambda p, q: p == q).ok()
 
 
 def test_monoid_has_no_right_length_function():

@@ -77,9 +77,6 @@ def test_equal_examples():
     assert normalize(w("b a a b")) == normalize(w("a a"))
     assert normalize(w("a b")) != normalize(w("b a"))
     assert normalize(w("b a^4 b")) == normalize(w("b a^4 b"))
-    # a^3 = b a a b a, padding around the first aa, while b a^3 b is not a^3
-    assert normalize(w("b a a b a")) == normalize(w("a^3"))
-    assert normalize(w("b a^3 b")) != normalize(w("a^3"))
 
 
 def test_canonicity_matches_group_oracle_up_to_9():
@@ -270,3 +267,44 @@ def test_every_candidate_length_function_is_refuted():
             assert multiply(v.left, v.right) == v.whole
             assert not v.right.is_identity()
             assert v.value_whole <= v.value_left
+
+
+def nonunit_power_witness(x, n):
+    """Reference: x as a product of exactly n nonunits, padding the first aa
+    of the canonical word to b^k aa b^k when the word is shorter than n."""
+    letters = x.letters()
+    if len(letters) < n:
+        k = (n - len(letters) + 1) // 2
+        pos = next(p for p in range(len(letters) - 1) if letters[p : p + 2] == ("a", "a"))
+        letters = letters[:pos] + ("b",) * k + ("a", "a") + ("b",) * k + letters[pos + 2 :]
+    cuts = [round(i * len(letters) / n) for i in range(n + 1)]
+    return [normalize(w(" ".join(letters[cuts[i] : cuts[i + 1]]))) for i in range(n)]
+
+
+def product(factors):
+    result = factors[0]
+    for f in factors[1:]:
+        result = multiply(result, f)
+    return result
+
+
+def test_nonunit_power_witness():
+    for n in range(1, 11):
+        factors = nonunit_power_witness(AA, n)
+        assert len(factors) == n
+        assert all(not f.is_identity() for f in factors)
+        assert product(factors) == AA
+    # b a^3 b is not a^3, so the padding goes around the first aa: a^3 = b a a b a
+    assert normalize(w("b a^3 b")) != normalize(w("a^3"))
+    cube = normalize(w("a^3"))
+    assert normalize(w("b a a b a")) == cube
+    for n in range(1, 10):
+        factors = nonunit_power_witness(cube, n)
+        assert len(factors) == n
+        assert all(not f.is_identity() for f in factors)
+        assert product(factors) == cube
+    # the padded words are the atom factorizations: a^3 has lengths 3, 5, 7, 9 up to 9
+    assert length_set(cube, 9).sorted_lengths() == (3, 5, 7, 9)
+    # b has no aa, so it is a product of one nonunit only
+    report = length_set(normalize(w("b")), 3)
+    assert report.sorted_lengths() == (1,) and report.exhausted

@@ -21,6 +21,16 @@ on purpose: a closed form such as the Leibniz expansion
 a x^j = sum_k C(j, k) x^(j-k) a^(k) of the Weyl algebra is left to
 independent checks.
 
+Base-ring arithmetic (the content/primitive-part representation, Knuth,
+*TAOCP* vol. 2, sec. 4.6.1): ``Poly`` stores one reduced ``Fraction`` per
+coefficient, but ``+``, ``*``, ``derivative`` and ``scale_argument`` bring
+their operands to integer numerators over one common denominator (the lcm
+of the coefficient denominators), compute in plain ints, trim trailing zeros
+while the values are still ints, and reduce each output coefficient once.
+A product of an m- and an n-coefficient polynomial thus costs m*n int
+products and one gcd per output coefficient, where term-by-term
+``Fraction`` arithmetic pays gcds for every term product and partial sum.
+
 Length functions:
 
 * ``lambda_skew(f) = deg_x(f) + weight(leading coefficient)`` strictly drops
@@ -37,9 +47,12 @@ Length functions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .xy_poly import parse_rational
 
 NEG_INF = float("-inf")
 
@@ -77,10 +90,11 @@ class Poly:
             return other + self
         if not other.coeffs:
             return self
-        out = list(self.coeffs)
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return _poly(out)
+        den = math.lcm(_denominator(self.coeffs), _denominator(other.coeffs))
+        out = _numerators(self.coeffs, den)
+        for i, n in enumerate(_numerators(other.coeffs, den)):
+            out[i] += n
+        return _from_numerators(out, den)
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
@@ -91,15 +105,19 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return ZERO_POLY
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
+        den_f, den_g = _denominator(self.coeffs), _denominator(other.coeffs)
+        g = _numerators(other.coeffs, den_g)
+        out = [0] * (len(self.coeffs) + len(g) - 1)
+        for i, c in enumerate(_numerators(self.coeffs, den_f)):
             if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return _poly(out)
+                for j, d in enumerate(g, i):
+                    out[j] += c * d
+        return _from_numerators(out, den_f * den_g)
 
     def derivative(self) -> "Poly":
-        return _poly([i * c for i, c in enumerate(self.coeffs[1:], 1)])
+        coeffs = self.coeffs[1:]
+        den = _denominator(coeffs)
+        return _from_numerators([i * n for i, n in enumerate(_numerators(coeffs, den), 1)], den)
 
     def shift_argument(self, k: int) -> "Poly":
         """p(y) -> p(y + k), by Horner evaluation at y + k."""
@@ -110,13 +128,25 @@ class Poly:
         return acc
 
     def scale_argument(self, q: Fraction) -> "Poly":
-        """p(y) -> p(q y), with a running power of q."""
-        out = list(self.coeffs)
-        power = Fraction(1)
+        """p(y) -> p(q y), with running powers of q's numerator and denominator.
+
+        Over the common denominator ``d * den(q)^m`` (m = degree), the y^i
+        coefficient n_i / d becomes n_i * num(q)^i * den(q)^(m - i).
+        """
+        if len(self.coeffs) < 2:
+            return self
+        den = _denominator(self.coeffs)
+        out = _numerators(self.coeffs, den)
+        q_num, q_den = q.numerator, q.denominator
+        power = 1
         for i in range(1, len(out)):
-            power *= q
+            power *= q_num
             out[i] *= power
-        return _poly(out)
+        power = 1
+        for i in range(len(out) - 2, -1, -1):
+            power *= q_den
+            out[i] *= power
+        return _from_numerators(out, den * power)
 
     def display(self) -> str:
         if not self.coeffs:
@@ -143,6 +173,28 @@ def _poly(coeffs: Sequence) -> Poly:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return Poly(tuple(coeffs))
+
+
+def _denominator(coeffs: Sequence[Fraction]) -> int:
+    """Least common denominator of the coefficients."""
+    return math.lcm(*[c.denominator for c in coeffs])
+
+
+def _numerators(coeffs: Sequence[Fraction], den: int) -> list[int]:
+    """Integer numerators of the coefficients over the common denominator ``den``."""
+    if den == 1:
+        return [c.numerator for c in coeffs]
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _from_numerators(nums: list[int], den: int) -> Poly:
+    """The polynomial sum_i (nums[i] / den) y^i: trim trailing zeros while the
+    values are ints, then reduce each coefficient once."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if den == 1:
+        return Poly(tuple([Fraction(n) for n in nums]))
+    return Poly(tuple([Fraction(n, den) for n in nums]))
 
 
 ZERO_POLY = Poly()
@@ -222,9 +274,9 @@ def parse_config(text: str) -> tuple[str, SigmaDelta]:
                 if not rest.startswith(":q="):
                     raise ValueError(f"bad configuration: {text!r}")
                 try:
-                    q = Fraction(rest[3:])
-                except ZeroDivisionError:
-                    raise ValueError(f"q divides by zero: {text!r}") from None
+                    q = parse_rational(rest[3:])
+                except ValueError as exc:
+                    raise ValueError(f"bad q in {prefix} configuration: {exc}") from None
             return kind, quantum_plane(q)
     raise ValueError(f"unknown configuration: {text!r}")
 

@@ -126,9 +126,16 @@ def peel_chain(m: Mat2, steps: int) -> Iterator[PeelStep]:
 
 
 def power(m: Mat2, k: int) -> Mat2:
+    """m^k by square-and-multiply: at most 2 * k.bit_length() products."""
+    if k < 0:
+        raise ValueError("matrix powers need a non-negative exponent")
     out = IDENTITY
-    for _ in range(k):
-        out = out * m
+    while k:
+        if k & 1:
+            out = out * m
+        k >>= 1
+        if k:
+            m = m * m
     return out
 
 

@@ -4,10 +4,22 @@ Terms are indexed by an x-exponent (non-negative: x is not invertible) and an
 arbitrary integer y-exponent, with rational coefficients.  The parser reads
 matrix entry literals: sums of products of numbers, ``x``, ``y``, powers like
 ``y^-1`` or ``x^2``, and parenthesized subexpressions such as ``x*(y+1)``.
+
+``+`` and ``*`` work as ``ore.Poly`` does: the coefficients of both operands
+become integer numerators over one common denominator, the terms combine in
+plain ints, zero sums drop out while still ints, and each output coefficient
+is reduced to a ``Fraction`` once.  A product of an m- and an n-term element
+costs m*n int products and one gcd per output term; a zero operand returns
+at once.
+
+The parser bounds its work twice: ``MAX_TERM_PRODUCTS`` caps the number of
+term products a literal may cost, and ``MAX_COEFF_BITS`` the size of every
+coefficient it builds.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,28 +51,34 @@ class LaurentPoly2:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.terms)
-
     def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        acc = self.as_dict()
-        for key, coeff in other.terms:
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        return LaurentPoly2.from_dict(acc)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        den = math.lcm(_denominator(self), _denominator(other))
+        acc = dict(_numerators(self, den))
+        for key, n in _numerators(other, den):
+            acc[key] = acc.get(key, 0) + n
+        return _from_numerators(acc, den)
 
     def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2(tuple((k, -c) for k, c in self.terms))
+        return LaurentPoly2(tuple([(k, -c) for k, c in self.terms]))
 
     def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms:
-            for (i2, j2), c2 in other.terms:
+        if not self.terms or not other.terms:
+            return ZERO
+        den_f, den_g = _denominator(self), _denominator(other)
+        g = _numerators(other, den_g)
+        acc: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in _numerators(self, den_f):
+            for (i2, j2), c2 in g:
                 key = (i1 + i2, j1 + j2)
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return LaurentPoly2.from_dict(acc)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return _from_numerators(acc, den_f * den_g)
 
     def divisible_by_x(self) -> bool:
         return all(i >= 1 for (i, _), _ in self.terms)
@@ -93,6 +111,26 @@ ZERO = LaurentPoly2(())
 ONE = LaurentPoly2.constant(1)
 
 
+def _denominator(p: LaurentPoly2) -> int:
+    """Least common denominator of the coefficients."""
+    return math.lcm(*[c.denominator for _, c in p.terms])
+
+
+def _numerators(p: LaurentPoly2, den: int) -> list[tuple[tuple[int, int], int]]:
+    """The terms with integer numerators over the common denominator ``den``."""
+    if den == 1:
+        return [(key, c.numerator) for key, c in p.terms]
+    return [(key, c.numerator * (den // c.denominator)) for key, c in p.terms]
+
+
+def _from_numerators(acc: dict[tuple[int, int], int], den: int) -> LaurentPoly2:
+    """The element sum (acc[key] / den) x^i y^j: drop zeros while the values
+    are ints, then reduce each coefficient once."""
+    if den == 1:
+        return LaurentPoly2(tuple([(key, Fraction(n)) for key, n in sorted(acc.items()) if n]))
+    return LaurentPoly2(tuple([(key, Fraction(n, den)) for key, n in sorted(acc.items()) if n]))
+
+
 _TOKEN_RE = re.compile(r"\s*(\d+/\d+|\d+|[xy()+\-*^]|\S)")
 
 
@@ -121,6 +159,50 @@ MAX_NESTING = 100
 #: a literal to about a second.
 MAX_TERM_PRODUCTS = 10**5
 
+#: Largest numerator or denominator, in bits, of any coefficient a literal
+#: builds, literal numbers included.  Every product, sum and power is checked
+#: once it is formed, and the power ``t^k`` of a single term with a ``b``-bit
+#: coefficient is refused before it is formed when even its least possible
+#: size, ``(b - 1) * |k| + 1`` bits, is past the bound.  So no step handles
+#: numbers much longer than twice the bound.
+MAX_COEFF_BITS = 4096
+
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+
+# more significant decimal digits than 2^MAX_COEFF_BITS has means more bits
+_MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
+
+
+def _bits(c: Fraction) -> int:
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
+def _too_long() -> ValueError:
+    return ValueError(f"a numerator or denominator exceeds {MAX_COEFF_BITS} bits")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read an integer or fraction ``-?\\d+(/\\d+)?`` whose numerator and
+    denominator stay within ``MAX_COEFF_BITS``; anything else raises."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad number {text!r}: expected an integer or a fraction n/d")
+    num, den = m.groups("1")
+    if max(len(num.lstrip("-0")), len(den.lstrip("0"))) > _MAX_DIGITS:
+        raise _too_long()
+    if int(den) == 0:
+        raise ValueError(f"number {text!r} divides by zero")
+    value = Fraction(int(num), int(den))
+    if _bits(value) > MAX_COEFF_BITS:
+        raise _too_long()
+    return value
+
+
+def _bounded(p: LaurentPoly2) -> LaurentPoly2:
+    if any(_bits(c) > MAX_COEFF_BITS for _, c in p.terms):
+        raise _too_long()
+    return p
+
 
 class _Parser:
     def __init__(self, tokens: list[str]):
@@ -136,7 +218,7 @@ class _Parser:
 
     def mul(self, f: LaurentPoly2, g: LaurentPoly2) -> LaurentPoly2:
         self.charge(max(1, len(f.terms) * len(g.terms)))
-        return f * g
+        return _bounded(f * g)
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -159,7 +241,7 @@ class _Parser:
             while self.peek() in ("+", "-"):
                 if self.take() == "-":
                     sign = -sign
-            result = result + self.mul(self.parse_term(), LaurentPoly2.constant(sign))
+            result = _bounded(result + self.mul(self.parse_term(), LaurentPoly2.constant(sign)))
         return result
 
     def parse_term(self) -> LaurentPoly2:
@@ -203,13 +285,12 @@ class _Parser:
         if tok == "y":
             return LaurentPoly2.term(0, 1)
         if re.fullmatch(r"\d+(/\d+)?", tok):
-            try:
-                return LaurentPoly2.constant(Fraction(tok))
-            except ZeroDivisionError:
-                raise ValueError(f"number {tok!r} divides by zero") from None
+            return LaurentPoly2.constant(parse_rational(tok))
         raise ValueError(f"unexpected token {tok!r} in polynomial literal")
 
     def power(self, base: LaurentPoly2, exponent: int) -> LaurentPoly2:
+        if len(base.terms) == 1 and (_bits(base.terms[0][1]) - 1) * abs(exponent) >= MAX_COEFF_BITS:
+            raise _too_long()
         if exponent >= 0:
             out = ONE
             for _ in range(exponent):
@@ -221,7 +302,7 @@ class _Parser:
         if i != 0:
             raise ValueError("x is not invertible")
         self.charge(-exponent)
-        return LaurentPoly2.term(0, j * exponent, coeff**exponent)
+        return _bounded(LaurentPoly2.term(0, j * exponent, coeff**exponent))
 
 
 def parse_laurent_poly(text: str) -> LaurentPoly2:

@@ -193,3 +193,17 @@ def test_word_length_limit_counts_all_tokens(capsys):
     code, out, err = run(capsys, "normalize", "a^6000000 b^6000000")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "letters" in err
+
+
+@pytest.mark.parametrize("q", ["1e99", "2.5", "+2", "2^3", str(2**5000)], ids=lambda q: q[:8])
+def test_skew_check_accepts_only_bounded_rational_q(capsys, q):
+    # a decimal exponent such as 1e9999999 once built q = 10^9999999 and hung
+    code, out, err = run(capsys, "skew-check", "--config", f"qplane:q={q}", "--pairs", "2")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_oversized_matrix_literal_coefficient_is_an_input_error(capsys):
+    code, out, err = run(capsys, "pi-demo", "--matrix", "(3/7)^20000; x; 1; x*y")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "bits" in err

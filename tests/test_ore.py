@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -338,3 +339,60 @@ def test_poly_kernel_stays_exact():
         assert all(exact(c) for c in ore_mul(f, g).coeffs)
     assert (Poly.of(1, 1) + Poly.of(0, -1)).coeffs == (Fraction(1),)
     assert (Poly.of(1, 1) + Poly.of(-1, -1)).is_zero()
+
+
+def _ref_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return Poly(tuple(coeffs))
+
+
+def _ref_add(p, q):
+    n = max(len(p.coeffs), len(q.coeffs))
+    pad = lambda r: list(r.coeffs) + [Fraction(0)] * (n - len(r.coeffs))
+    return _ref_trim(a + b for a, b in zip(pad(p), pad(q)))
+
+
+def _ref_mul(p, q):
+    if not p.coeffs or not q.coeffs:
+        return ZERO_POLY
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return _ref_trim(out)
+
+
+def _ref_shift(p, k):
+    # y^m coefficient of sum_i c_i (y + k)^i is sum_i c_i C(i, m) k^(i - m)
+    return _ref_trim(
+        sum((c * math.comb(i, m) * Fraction(k) ** (i - m) for i, c in enumerate(p.coeffs) if i >= m), Fraction(0))
+        for m in range(len(p.coeffs))
+    )
+
+
+def _random_fraction_poly(rnd, max_len=6):
+    return Poly.of(*(Fraction(rnd.randint(-6, 6), rnd.randint(1, 12)) for _ in range(rnd.randint(0, max_len))))
+
+
+def test_poly_kernel_matches_plain_fraction_reference():
+    def same(got, want):
+        assert got == want and hash(got) == hash(want)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert not got.coeffs or got.coeffs[-1] != 0
+
+    rnd = random.Random(13)
+    for _ in range(400):
+        p, q = _random_fraction_poly(rnd), _random_fraction_poly(rnd)
+        if p.coeffs and rnd.random() < 0.3:
+            # q ends in minus the top of p, so p + q has trailing zeros to trim
+            q = Poly.of(*(Fraction(rnd.randint(-1, 1), rnd.randint(1, 12)) for _ in p.coeffs[1:]), -p.leading())
+        same(p + q, _ref_add(p, q))
+        same(p - p, ZERO_POLY)
+        same(p * q, _ref_mul(p, q))
+        same(p.derivative(), _ref_trim(i * c for i, c in enumerate(p.coeffs) if i))
+        k = rnd.randint(-3, 3)
+        same(p.shift_argument(k), _ref_shift(p, k))
+        s = Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 5), rnd.randint(1, 4)) ** rnd.randint(-3, 3)
+        same(p.scale_argument(s), _ref_trim(c * s**i for i, c in enumerate(p.coeffs)))

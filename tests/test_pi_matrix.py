@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +17,7 @@ from factorlab.pi_matrix import (
     peel_chain,
     power,
 )
-from factorlab.xy_poly import ONE, ZERO, LaurentPoly2, parse_laurent_poly
+from factorlab.xy_poly import MAX_COEFF_BITS, ONE, ZERO, LaurentPoly2, parse_laurent_poly
 
 X = LaurentPoly2.term(1, 0)
 Y = LaurentPoly2.term(0, 1)
@@ -170,3 +172,100 @@ def test_literal_work_is_bounded():
         with pytest.raises(ValueError, match="term products"):
             parse_laurent_poly(text)
     assert parse_laurent_poly("y^1000") == LaurentPoly2.term(0, 1000)
+
+
+def _ref_element(acc):
+    return LaurentPoly2(tuple(sorted((k, c) for k, c in acc.items() if c != 0)))
+
+
+def _ref_sum(f, g, sign=1):
+    acc = dict(f.terms)
+    for key, c in g.terms:
+        acc[key] = acc.get(key, Fraction(0)) + sign * c
+    return _ref_element(acc)
+
+
+def _ref_product(f, g):
+    acc = {}
+    for (i1, j1), c1 in f.terms:
+        for (i2, j2), c2 in g.terms:
+            acc[(i1 + i2, j1 + j2)] = acc.get((i1 + i2, j1 + j2), Fraction(0)) + c1 * c2
+    return _ref_element(acc)
+
+
+def _random_fraction_laurent(rnd):
+    return LaurentPoly2.from_dict(
+        {
+            (rnd.randint(0, 2), rnd.randint(-2, 2)): Fraction(rnd.randint(-6, 6), rnd.randint(1, 12))
+            for _ in range(rnd.randint(0, 5))
+        }
+    )
+
+
+def test_laurent_kernel_matches_plain_fraction_reference():
+    def same(got, want):
+        assert got == want and hash(got) == hash(want)
+        assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
+        keys = [key for key, _ in got.terms]
+        assert keys == sorted(set(keys))
+
+    rnd = random.Random(14)
+    for _ in range(400):
+        f, g = _random_fraction_laurent(rnd), _random_fraction_laurent(rnd)
+        if rnd.random() < 0.3:
+            # g cancels part of f, so sums and differences drop terms
+            g = LaurentPoly2(tuple((k, -c) for k, c in f.terms[::2])) + g
+        same(f + g, _ref_sum(f, g))
+        same(f - g, _ref_sum(f, g, sign=-1))
+        same(f - f, ZERO)
+        same(f * g, _ref_product(f, g))
+
+
+def test_power_squares(monkeypatch):
+    products = 0
+    multiply = Mat2.__mul__
+
+    def counting(a, b):
+        nonlocal products
+        products += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(Mat2, "__mul__", counting)
+    assert power(PEEL_UNIT, 400) == Mat2(ONE, ZERO, ZERO, LaurentPoly2.term(0, 400))
+    assert products <= 2 * math.ceil(math.log2(400))
+
+
+def test_power_matches_repeated_products():
+    rnd = random.Random(15)
+    with pytest.raises(ValueError):
+        power(PEEL_UNIT, -1)
+    tried = 0
+    while tried < 4:
+        m = Mat2(random_poly(rnd, 1), random_poly(rnd, 1) * X, random_poly(rnd, 1), random_poly(rnd, 1) * X)
+        if not is_special_form(m):
+            continue
+        tried += 1
+        want = IDENTITY
+        for k in range(21):
+            assert power(m, k) == want, k
+            want = want * m
+
+
+def test_literal_coefficients_are_bounded():
+    # each of these asks for a numerator or denominator past MAX_COEFF_BITS
+    for text in (
+        "(3/7)^20000",
+        "2^50000",
+        "((((((2^10)^10)^10)^10)^10)^10)",
+        "(((2^-10)^-10)^-10)^-10",
+        "1" * 5000,
+        f"1/{2**MAX_COEFF_BITS}",
+        "(2^4000 + y)^2",
+    ):
+        with pytest.raises(ValueError, match="bits"):
+            parse_laurent_poly(text)
+    # the power check is sound: results within the bound still parse
+    assert parse_laurent_poly(f"2^{MAX_COEFF_BITS - 1}") == LaurentPoly2.constant(2 ** (MAX_COEFF_BITS - 1))
+    assert parse_laurent_poly("(3/7)^1459*y^-2") == LaurentPoly2.term(0, -2, Fraction(3, 7) ** 1459)
+    assert parse_laurent_poly(f"-{2**MAX_COEFF_BITS - 1}") == LaurentPoly2.constant(1 - 2**MAX_COEFF_BITS)
+    assert parse_laurent_poly("(1/2)^-100") == LaurentPoly2.constant(2**100)

@@ -9,6 +9,7 @@ switches any subcommand to a machine-readable document.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -281,7 +282,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: ``parse_args``
+    does not change it, and building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="factorlab",
         description="factorization laboratory for a two-relator monoid, its algebra, "

@@ -21,15 +21,25 @@ on purpose: a closed form such as the Leibniz expansion
 a x^j = sum_k C(j, k) x^(j-k) a^(k) of the Weyl algebra is left to
 independent checks.
 
-Base-ring arithmetic (the content/primitive-part representation, Knuth,
-*TAOCP* vol. 2, sec. 4.6.1): ``Poly`` stores one reduced ``Fraction`` per
-coefficient, but ``+``, ``*``, ``derivative`` and ``scale_argument`` bring
-their operands to integer numerators over one common denominator (the lcm
-of the coefficient denominators), compute in plain ints, trim trailing zeros
-while the values are still ints, and reduce each output coefficient once.
-A product of an m- and an n-coefficient polynomial thus costs m*n int
-products and one gcd per output coefficient, where term-by-term
-``Fraction`` arithmetic pays gcds for every term product and partial sum.
+Arithmetic (the content/primitive-part representation, Knuth, *TAOCP*
+vol. 2, sec. 4.6.1): ``Poly`` stores one reduced ``Fraction`` per
+coefficient, but its operations bring their operands to integer numerators
+over one common denominator (the lcm of the coefficient denominators),
+compute in plain ints, trim trailing zeros while the values are still ints,
+and reduce each output coefficient once.  ``ore_mul`` does the same for the
+whole product: each operand becomes integer rows over one denominator, every
+f*x^j step and every (f*x^j)*b_j accumulation runs in ints, and the product
+builds one ``Fraction`` per output coefficient at the end.  The twists act
+on rows through one core each, which the ``Poly`` methods wrap: d/dy
+multiplies entry i by i, the shift y -> y + 1 is an integer Taylor shift,
+and the scaling y -> q y multiplies entry i by num(q)^i den(q)^(top - i),
+with top the largest y-degree of f (sigma keeps degrees), so each x adds a
+factor den(q)^top to the denominator and the j-th contribution is lifted by
+den(q)^((n_g - 1 - j) * top).  For operands whose coefficients have at
+most w_f and w_g entries, a product thus costs at most
+(n_f + n_g) * n_g * w_f * w_g int products in the accumulation, O(w_f) int
+operations per application of sigma or delta (O(w_f^2) for the shift), and
+one gcd per output coefficient.
 
 Length functions:
 
@@ -115,38 +125,24 @@ class Poly:
         return _from_numerators(out, den_f * den_g)
 
     def derivative(self) -> "Poly":
-        coeffs = self.coeffs[1:]
-        den = _denominator(coeffs)
-        return _from_numerators([i * n for i, n in enumerate(_numerators(coeffs, den), 1)], den)
+        den = _denominator(self.coeffs)
+        return _from_numerators(_ddy_row(_numerators(self.coeffs, den)), den)
 
     def shift_argument(self, k: int) -> "Poly":
-        """p(y) -> p(y + k), by Horner evaluation at y + k."""
-        acc = ZERO_POLY
-        y_plus_k = Poly.of(k, 1)
-        for c in reversed(self.coeffs):
-            acc = acc * y_plus_k + Poly.const(c)
-        return acc
+        """p(y) -> p(y + k), by an integer Taylor shift of the numerators."""
+        den = _denominator(self.coeffs)
+        return _from_numerators(_shift_row(_numerators(self.coeffs, den), k), den)
 
     def scale_argument(self, q: Fraction) -> "Poly":
-        """p(y) -> p(q y), with running powers of q's numerator and denominator.
-
-        Over the common denominator ``d * den(q)^m`` (m = degree), the y^i
-        coefficient n_i / d becomes n_i * num(q)^i * den(q)^(m - i).
-        """
+        """p(y) -> p(q y): over the common denominator ``d * den(q)^m``
+        (m = degree), the y^i coefficient n_i / d becomes
+        n_i * num(q)^i * den(q)^(m - i)."""
         if len(self.coeffs) < 2:
             return self
         den = _denominator(self.coeffs)
-        out = _numerators(self.coeffs, den)
-        q_num, q_den = q.numerator, q.denominator
-        power = 1
-        for i in range(1, len(out)):
-            power *= q_num
-            out[i] *= power
-        power = 1
-        for i in range(len(out) - 2, -1, -1):
-            power *= q_den
-            out[i] *= power
-        return _from_numerators(out, den * power)
+        top = len(self.coeffs) - 1
+        row = _scale_row(_numerators(self.coeffs, den), _scale_factors(q, top))
+        return _from_numerators(row, den * q.denominator**top)
 
     def display(self) -> str:
         if not self.coeffs:
@@ -195,6 +191,42 @@ def _from_numerators(nums: list[int], den: int) -> Poly:
     if den == 1:
         return Poly(tuple([Fraction(n) for n in nums]))
     return Poly(tuple([Fraction(n, den) for n in nums]))
+
+
+def _ddy_row(row: list[int]) -> list[int]:
+    """d/dy on numerators: entry i times i, constant term dropped."""
+    return [i * n for i, n in enumerate(row[1:], 1)]
+
+
+def _shift_row(row: list[int], k: int) -> list[int]:
+    """y -> y + k on numerators, by repeated synthetic division (the Taylor
+    shift of Knuth, *TAOCP* vol. 2, sec. 4.6.4): (n - 1) n / 2 int steps."""
+    out = list(row)
+    if k:
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] += k * out[j + 1]
+    return out
+
+
+def _scale_factors(q: Fraction, top: int) -> list[int]:
+    """num(q)^i * den(q)^(top - i) for i = 0..top: y -> q y on rows of
+    y-degree at most ``top`` once the denominator gains den(q)^top."""
+    out = [1] * (top + 1)
+    power = 1
+    for i in range(1, top + 1):
+        power *= q.numerator
+        out[i] = power
+    power = 1
+    for i in range(top - 1, -1, -1):
+        power *= q.denominator
+        out[i] *= power
+    return out
+
+
+def _scale_row(row: list[int], factors: list[int]) -> list[int]:
+    """y -> q y on numerators, with the factors of :func:`_scale_factors`."""
+    return [n * f for n, f in zip(row, factors)]
 
 
 ZERO_POLY = Poly()
@@ -348,34 +380,70 @@ def _same_twist(f: OrePoly, g: OrePoly) -> None:
         raise ValueError("operands carry different twist data")
 
 
-def _times_x(coeffs: list[Poly], sd: SigmaDelta) -> list[Poly]:
-    """Right coefficients of h * x from those of h: one pass of
+def _sigma_row(row: list[int], sigma: str, factors: list[int]) -> list[int]:
+    """sigma on numerators; a scale twist uses the factors of
+    :func:`_scale_factors`, and the caller's denominator gains den(q)^top."""
+    if sigma == "identity":
+        return row
+    if sigma == "shift":
+        return _shift_row(row, 1)
+    return _scale_row(row, factors)
+
+
+def _times_x(rows: list[list[int]], sd: SigmaDelta, factors: list[int]) -> list[list[int]]:
+    """Numerator rows of h * x from those of h: one pass of
     a * x = x * sigma(a) + delta(a) over the coefficients of h."""
-    out = [ZERO_POLY] * (len(coeffs) + 1)
-    for m, c in enumerate(coeffs):
-        if c.is_zero():
+    out: list[list[int]] = [[]] * (len(rows) + 1)  # slots are replaced, never mutated
+    for m, c in enumerate(rows):
+        if not c:
             continue
-        out[m + 1] = sd.apply_sigma(c)  # slot m + 1 is first written here
-        out[m] = out[m] + sd.apply_delta(c)
+        out[m + 1] = _sigma_row(c, sd.sigma, factors)  # slot m + 1 is first written here
+        if sd.delta == "ddy" and len(c) > 1:
+            d = _ddy_row(c)
+            prev = out[m]
+            if len(prev) < len(d):
+                prev, d = d, prev
+            out[m] = [a + b for a, b in zip(prev, d)] + prev[len(d) :]
     return out
 
 
 def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
-    """f * g as the sum over j of (f * x^j) * b_j, for g = sum_j x^j b_j."""
+    """f * g as the sum over j of (f * x^j) * b_j, for g = sum_j x^j b_j,
+    in integer numerators over one denominator for the whole product."""
     _same_twist(f, g)
     if f.is_zero() or g.is_zero():
         return ore_zero(f.sd)
-    out = [ZERO_POLY] * (len(f.coeffs) + len(g.coeffs) - 1)
-    f_xj = list(f.coeffs)  # right coefficients of f * x^j
+    sd = f.sd
+    den_f = _denominator([c for a in f.coeffs for c in a.coeffs])
+    den_g = _denominator([c for b in g.coeffs for c in b.coeffs])
+    f_xj = [_numerators(a.coeffs, den_f) for a in f.coeffs]  # rows of f * x^j
+    width_f = max(len(a.coeffs) for a in f.coeffs)
+    width_g = max(len(b.coeffs) for b in g.coeffs)
+    n_g = len(g.coeffs)
+    factors: list[int] = []
+    step = 1  # denominator gained by f * x^j per x
+    if sd.sigma == "scale":
+        factors = _scale_factors(sd.q, width_f - 1)
+        step = sd.q.denominator ** (width_f - 1)
+    out = [[0] * (width_f + width_g - 1) for _ in range(len(f.coeffs) + n_g - 1)]
     for j, b in enumerate(g.coeffs):
         if j:
-            f_xj = _times_x(f_xj, f.sd)
+            f_xj = _times_x(f_xj, sd, factors)
         if b.is_zero():
             continue
+        # bring (f * x^j) * b_j to the product's denominator den_f * den_g * step^(n_g - 1)
+        b_row = _numerators(b.coeffs, den_g)
+        if step != 1:
+            lift = step ** (n_g - 1 - j)
+            b_row = [n * lift for n in b_row]
         for m, c in enumerate(f_xj):
-            if not c.is_zero():
-                out[m] = out[m] + c * b
-    return _ore(out, f.sd)
+            acc = out[m]
+            for i, a in enumerate(c):
+                if a:
+                    for k, d in enumerate(b_row, i):
+                        acc[k] += a * d
+    den = den_f * den_g * step ** (n_g - 1)
+    return _ore([_from_numerators(row, den) for row in out], sd)
 
 
 def lambda_skew(f: OrePoly) -> int:
@@ -506,12 +574,17 @@ class LawCheckResult:
         return self.right_length_violations == 0 and self.leading_law_violations == 0
 
 
+_SMALL = tuple(Fraction(n) for n in range(-4, 5))  # _SMALL[n + 4] == n
+
+
 def random_poly(rng, nonzero: bool = False) -> Poly:
     """Up to 4 coefficients, each drawn from -4..4."""
     while True:
-        p = _poly([Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(0, 4))])
-        if not nonzero or not p.is_zero():
-            return p
+        nums = [rng.randint(-4, 4) for _ in range(rng.randint(0, 4))]
+        while nums and not nums[-1]:
+            nums.pop()
+        if nums or not nonzero:
+            return Poly(tuple([_SMALL[n + 4] for n in nums]))
 
 
 def random_ore(rng, sd: SigmaDelta, nonzero: bool = False) -> OrePoly:

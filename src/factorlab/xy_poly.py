@@ -291,6 +291,18 @@ class _Parser:
     def power(self, base: LaurentPoly2, exponent: int) -> LaurentPoly2:
         if len(base.terms) == 1 and (_bits(base.terms[0][1]) - 1) * abs(exponent) >= MAX_COEFF_BITS:
             raise _too_long()
+        if exponent >= 0 and len(base.terms) == 1:
+            # one pow, charged as the ``exponent`` products of repeated
+            # multiplication.  Those are refused at the first product past
+            # the budget or past the bit bound, and coefficient bits never
+            # shrink under a power, so checking the power that fits the
+            # budget tells which refusal comes first.
+            (i, j), coeff = base.terms[0]
+            room = MAX_TERM_PRODUCTS - self.work
+            if exponent > room and _bits(coeff**room) > MAX_COEFF_BITS:
+                raise _too_long()
+            self.charge(exponent)
+            return _bounded(LaurentPoly2.term(i * exponent, j * exponent, coeff**exponent))
         if exponent >= 0:
             out = ONE
             for _ in range(exponent):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from factorlab.cli import main
+from factorlab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -207,3 +207,12 @@ def test_oversized_matrix_literal_coefficient_is_an_input_error(capsys):
     code, out, err = run(capsys, "pi-demo", "--matrix", "(3/7)^20000; x; 1; x*y")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "bits" in err
+
+
+def test_parser_is_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    assert run(capsys, "normalize", "b a a b") == (0, "a^2\n", "")
+    assert run(capsys, "lengths", "a a", "--cap", "8") == (0, "{2,4,6,8}\nexhausted: False\n", "")
+    assert run(capsys, "lengths", "a a", "--cap", "1")[0] == 2
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

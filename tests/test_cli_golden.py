@@ -1,0 +1,50 @@
+"""Every README command, and the seeded skew-ring audits, print exactly the
+recorded bytes.
+
+``cli_golden.json`` maps each command line (without the leading
+``factorlab``) to its exit code, standard output and standard error, as
+``cli.main`` produced them before the skew-product kernel ran on integer
+rows.  The README commands are read from the README itself, so a command
+added there without a recorded answer fails here.
+"""
+
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+from factorlab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
+AUDITS = (
+    "skew-check --config weyl --pairs 1000 --seed 1",
+    "skew-check --config qplane:q=-3/4 --pairs 1000 --seed 1",
+    "skew-check --config qtorus:q=3 --pairs 1000 --seed 1",
+    "filt-check --pairs 500 --json",
+)
+
+
+def _readme_commands() -> list[str]:
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+    return [
+        line.split("#", 1)[0].strip()[len("factorlab ") :]
+        for line in block.splitlines()
+        if line.startswith("factorlab ")
+    ]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_golden_covers_exactly_the_checked_commands():
+    assert len(README_COMMANDS) == 13
+    assert sorted(GOLDEN) == sorted(README_COMMANDS + list(AUDITS))
+
+
+@pytest.mark.parametrize("command", README_COMMANDS + list(AUDITS))
+def test_command_output_is_byte_identical(capsys, command):
+    code = main(shlex.split(command))
+    captured = capsys.readouterr()
+    assert {"exit": code, "stdout": captured.out, "stderr": captured.err} == GOLDEN[command]

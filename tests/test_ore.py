@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import factorlab.ore as ore_module
 from factorlab.ore import (
     Y,
     ZERO_POLY,
@@ -35,7 +36,7 @@ from factorlab.ore import (
 ONE_POLY = Poly.of(1)
 WEYL = weyl()
 QPLANE = quantum_plane(2)
-TWISTS = (weyl(), quantum_plane(3), SigmaDelta("shift"))
+TWISTS = (weyl(), quantum_plane(3), SigmaDelta("shift"), quantum_plane(Fraction(-3, 4)))
 
 
 def ore_add(f: OrePoly, g: OrePoly) -> OrePoly:
@@ -57,7 +58,20 @@ def laurent_add(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
 
 
 def _reference_mul(f: OrePoly, g: OrePoly) -> OrePoly:
-    """The former ore_mul: rebuild a_i * x^j from scratch for every pair."""
+    """The former ore_mul: rebuild a_i * x^j from scratch for every pair,
+    with sigma, delta, sums and products in plain ``Fraction`` arithmetic."""
+
+    def sigma(c, sd):
+        if sd.sigma == "identity":
+            return c
+        if sd.sigma == "shift":
+            return _ref_shift(c, 1)
+        return _ref_trim(a * sd.q**i for i, a in enumerate(c.coeffs))
+
+    def delta(c, sd):
+        if sd.delta == "zero":
+            return ZERO_POLY
+        return _ref_trim(i * a for i, a in enumerate(c.coeffs) if i)
 
     def base_times_x_power(a, j, sd):
         vec = [a]
@@ -66,8 +80,8 @@ def _reference_mul(f: OrePoly, g: OrePoly) -> OrePoly:
             for m, c in enumerate(vec):
                 if c.is_zero():
                     continue
-                new[m + 1] = new[m + 1] + sd.apply_sigma(c)
-                new[m] = new[m] + sd.apply_delta(c)
+                new[m + 1] = _ref_add(new[m + 1], sigma(c, sd))
+                new[m] = _ref_add(new[m], delta(c, sd))
             vec = new
         return vec
 
@@ -82,7 +96,7 @@ def _reference_mul(f: OrePoly, g: OrePoly) -> OrePoly:
                 continue
             for m, c in enumerate(base_times_x_power(a, j, f.sd)):
                 if not c.is_zero():
-                    out[i + m] = out[i + m] + c * b
+                    out[i + m] = _ref_add(out[i + m], _ref_mul(c, b))
     return ore_from_coeffs(out, f.sd)
 
 
@@ -92,6 +106,10 @@ def _dense_ore(rnd, sd, n):
 
 def _random_ore_up_to(rnd, sd, max_deg_x):
     return ore_from_coeffs([random_poly(rnd) for _ in range(rnd.randint(0, max_deg_x + 1))], sd)
+
+
+def _random_fraction_ore(rnd, sd, max_deg_x):
+    return ore_from_coeffs([_random_fraction_poly(rnd, 4) for _ in range(rnd.randint(0, max_deg_x + 1))], sd)
 
 
 def test_base_poly_arithmetic():
@@ -293,6 +311,19 @@ def test_ore_mul_matches_reference_product():
             assert ore_mul(f, g) == _reference_mul(f, g), sd
 
 
+def test_ore_mul_matches_reference_on_fractional_operands():
+    # coefficient denominators, and den(q) = 4 for q = -3/4, exercise the
+    # common-denominator bookkeeping of the whole-product kernel
+    rnd = random.Random(14)
+    for sd in TWISTS:
+        for _ in range(180):
+            f = _random_fraction_ore(rnd, sd, rnd.choice((2, 6)))
+            g = (_random_fraction_ore if rnd.random() < 0.7 else _random_ore_up_to)(rnd, sd, 6)
+            got = ore_mul(f, g)
+            assert got == _reference_mul(f, g), sd
+            assert all(type(c) is Fraction for a in got.coeffs for c in a.coeffs)
+
+
 def test_ore_ring_laws_random():
     rnd = random.Random(11)
     for sd in TWISTS:
@@ -301,6 +332,10 @@ def test_ore_ring_laws_random():
             assert ore_mul(ore_mul(f, g), h) == ore_mul(f, ore_mul(g, h)), sd
             assert ore_mul(ore_add(f, g), h) == ore_add(ore_mul(f, h), ore_mul(g, h)), sd
             assert ore_mul(f, ore_add(g, h)) == ore_add(ore_mul(f, g), ore_mul(f, h)), sd
+        for _ in range(20):
+            f, g, h = (_random_fraction_ore(rnd, sd, 3) for _ in range(3))
+            assert ore_mul(ore_mul(f, g), h) == ore_mul(f, ore_mul(g, h)), sd
+            assert ore_mul(ore_add(f, g), h) == ore_add(ore_mul(f, h), ore_mul(g, h)), sd
 
 
 @pytest.mark.parametrize("n", [9, 21])
@@ -309,16 +344,16 @@ def test_ore_mul_sigma_applications_are_bounded(monkeypatch, sd, n):
     # pushing f * x^j one x at a time costs O((deg f + deg g) * deg g)
     # applications of the rule; rebuilding a * x^j per pair costs far more
     calls = 0
-    apply_sigma = SigmaDelta.apply_sigma
+    sigma_row = ore_module._sigma_row
 
-    def counting(self, p, k=1):
+    def counting(row, sigma, factors):
         nonlocal calls
         calls += 1
-        return apply_sigma(self, p, k)
+        return sigma_row(row, sigma, factors)
 
     rnd = random.Random(n)
     f, g = _dense_ore(rnd, sd, n), _dense_ore(rnd, sd, n)
-    monkeypatch.setattr(SigmaDelta, "apply_sigma", counting)
+    monkeypatch.setattr(ore_module, "_sigma_row", counting)
     ore_mul(f, g)
     assert 0 < calls <= (len(f.coeffs) + len(g.coeffs)) * len(g.coeffs)
 
@@ -396,3 +431,19 @@ def test_poly_kernel_matches_plain_fraction_reference():
         same(p.shift_argument(k), _ref_shift(p, k))
         s = Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 5), rnd.randint(1, 4)) ** rnd.randint(-3, 3)
         same(p.scale_argument(s), _ref_trim(c * s**i for i, c in enumerate(p.coeffs)))
+
+
+def test_random_draws_match_the_former_expression():
+    def former(rng, nonzero=False):
+        while True:
+            p = Poly.of(*[Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(0, 4))])
+            if not nonzero or not p.is_zero():
+                return p
+
+    for nonzero in (False, True):
+        ours, theirs = random.Random(15), random.Random(15)
+        for _ in range(500):
+            p = random_poly(ours, nonzero)
+            assert p == former(theirs, nonzero)
+            assert all(type(c) is Fraction for c in p.coeffs)
+        assert ours.getstate() == theirs.getstate()

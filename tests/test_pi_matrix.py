@@ -17,7 +17,7 @@ from factorlab.pi_matrix import (
     peel_chain,
     power,
 )
-from factorlab.xy_poly import MAX_COEFF_BITS, ONE, ZERO, LaurentPoly2, parse_laurent_poly
+from factorlab.xy_poly import MAX_COEFF_BITS, MAX_TERM_PRODUCTS, ONE, ZERO, LaurentPoly2, _Parser, parse_laurent_poly
 
 X = LaurentPoly2.term(1, 0)
 Y = LaurentPoly2.term(0, 1)
@@ -269,3 +269,39 @@ def test_literal_coefficients_are_bounded():
     assert parse_laurent_poly("(3/7)^1459*y^-2") == LaurentPoly2.term(0, -2, Fraction(3, 7) ** 1459)
     assert parse_laurent_poly(f"-{2**MAX_COEFF_BITS - 1}") == LaurentPoly2.constant(1 - 2**MAX_COEFF_BITS)
     assert parse_laurent_poly("(1/2)^-100") == LaurentPoly2.constant(2**100)
+
+
+def _power_by_products(parser, base, k):
+    """The parser's former ``t^k`` for k >= 0: k charged products."""
+    out = ONE
+    for _ in range(k):
+        out = parser.mul(out, base)
+    return out
+
+
+def _outcome(parser, run):
+    try:
+        return run(), parser.work
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_single_term_power_is_charged_as_repeated_products():
+    bases = (X, Y, Y_INV, LaurentPoly2.term(2, -3, Fraction(-3, 7)), LaurentPoly2.constant(Fraction(5, 2)), -ONE)
+    for base in bases:
+        for k in range(31):
+            fast, slow = _Parser([]), _Parser([])
+            assert fast.power(base, k) == _power_by_products(slow, base, k), (base, k)
+            assert fast.work == slow.work == k
+
+
+def test_single_term_power_refuses_as_repeated_products():
+    # 3^k passes MAX_COEFF_BITS at k = 2585 and 2^k at k = 4096; with the
+    # budget nearly spent, whichever limit repeated products hit first decides
+    assert (3**2584).bit_length() <= MAX_COEFF_BITS < (3**2585).bit_length()
+    for base, k in ((LaurentPoly2.constant(3), 3000), (LaurentPoly2.constant(2), 4000), (Y, 5000)):
+        for spent in (0, 96000, 97000, 97300, 97415, 97416, 97500, 98000, MAX_TERM_PRODUCTS):
+            fast, slow = _Parser([]), _Parser([])
+            fast.work = slow.work = spent
+            got = _outcome(fast, lambda: fast.power(base, k))
+            assert got == _outcome(slow, lambda: _power_by_products(slow, base, k)), (base, k, spent)

@@ -219,7 +219,21 @@ class NormalForm:
 
 
 def embed_normal_form(nf: NormalForm) -> GroupElement:
-    return embed_letters(nf.letters())
+    """The embedding of ``nf``, one free-group run per run of its word.
+
+    ``b^head_b`` is the run ``b^head_b``, and the block ``a^n b^m`` whose
+    a-runs up to and including it add up to ``t`` is the run of the signed
+    letter ``_CYCLE[t % 4]`` to the power ``m``.  This equals
+    ``embed_letters(nf.letters())`` and costs O(runs), not O(length).
+    """
+    stack: list[list] = []
+    _push_run(stack, "b", nf.head_b)
+    t = 0
+    for a_run, b_run in nf.blocks:
+        t += a_run
+        letter, sign = _CYCLE[t % 4]
+        _push_run(stack, letter, sign * b_run)
+    return GroupElement(_freeze(stack), t + nf.tail_a)
 
 
 def parse_membership(g: GroupElement) -> Optional[NormalForm]:
@@ -259,13 +273,28 @@ def parse_membership(g: GroupElement) -> Optional[NormalForm]:
     return NormalForm(head_b, tuple(blocks), residual)
 
 
-def left_quotient(u: Word, x: Word) -> Optional[NormalForm]:
+def _embed(x: Word | NormalForm) -> GroupElement:
+    """A word letter by letter, a canonical form run by run."""
+    if isinstance(x, NormalForm):
+        return embed_normal_form(x)
+    return embed(x)
+
+
+def left_quotient(u: Word | NormalForm, x: Word | NormalForm) -> Optional[NormalForm]:
     """Canonical v with x = u * v in the monoid, or None if u does not
-    left-divide x."""
-    return parse_membership(g_mul(g_inv(embed(u)), embed(x)))
+    left-divide x.
+
+    Each argument may be a word or a canonical form.  On two canonical forms
+    the cost is O(runs): nothing is expanded into letters.
+    """
+    return parse_membership(g_mul(g_inv(_embed(u)), _embed(x)))
 
 
-def right_quotient(x: Word, v: Word) -> Optional[NormalForm]:
+def right_quotient(x: Word | NormalForm, v: Word | NormalForm) -> Optional[NormalForm]:
     """Canonical u with x = u * v in the monoid, or None if v does not
-    right-divide x."""
-    return parse_membership(g_mul(embed(x), g_inv(embed(v))))
+    right-divide x.
+
+    Each argument may be a word or a canonical form.  On two canonical forms
+    the cost is O(runs): nothing is expanded into letters.
+    """
+    return parse_membership(g_mul(_embed(x), g_inv(_embed(v))))

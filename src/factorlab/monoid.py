@@ -243,6 +243,11 @@ def verify_accp_failure(depth: int) -> AccpWitness:
     succeeds) while ``b^{k+1} a^2`` is not a right multiple of ``b^k a^2``
     (the reverse division fails).  Any check failing raises
     :class:`ChainVerificationError`; with a correct oracle it never fires.
+
+    The elements come from the rewriting normalizer and the divisions from
+    the group embedding, which takes the canonical forms run by run, so each
+    division costs O(1) group work at any k.  The cofactor is also checked by
+    multiplying back with the rewriting normalizer.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -251,12 +256,12 @@ def verify_accp_failure(depth: int) -> AccpWitness:
     elements = [_normal_form(("b",) * k + ("a", "a")) for k in range(depth + 1)]
     for k in range(depth):
         g_k, g_next = elements[k], elements[k + 1]
-        inclusion = left_quotient(g_next.word(), g_k.word())
+        inclusion = left_quotient(g_next, g_k)
         if inclusion != cofactor_b:
             raise ChainVerificationError(f"expected cofactor b at step {k}, got {inclusion}")
         if multiply(g_next, inclusion) != g_k:
             raise ChainVerificationError(f"cofactor certificate failed at step {k}")
-        if left_quotient(g_k.word(), g_next.word()) is not None:
+        if left_quotient(g_k, g_next) is not None:
             raise ChainVerificationError(f"chain not strict at step {k}")
     for element in elements:
         chain.append((element, cofactor_b))
@@ -282,21 +287,23 @@ def divisible_by_all_b_powers(x: NormalForm, probe: Optional[int] = None) -> BPo
     b-count of x, so the default probe (b-count + 4) cannot miss a witness;
     the probe depth is still reported rather than silently trusted.  When no
     witness exists the result carries the largest n <= probe with x in M*b^n.
+
+    Every division takes canonical forms, which the group embedding reads
+    run by run, so the whole probe costs O((probe + 1) * runs of x).
     """
     if probe is None:
         probe = x.b_count + 4
     if probe < 0:
         raise ValueError("probe must be non-negative")
-    aa = ("a", "a")
     for i in range(probe + 1):
-        cofactor = right_quotient(x.word(), Word(ALPHABET, aa + ("b",) * i))
+        cofactor = right_quotient(x, NormalForm(0, ((2, i),), 0) if i else NormalForm(0, (), 2))
         if cofactor is not None:
             certified = multiply(multiply(cofactor, NormalForm(0, (), 2)), NormalForm(i, (), 0))
             if certified != x:
                 raise ChainVerificationError("b-power certificate failed to multiply back")
             return BPowerDivisibility(True, i, cofactor, probe)
     for n in range(probe, -1, -1):
-        if right_quotient(x.word(), Word(ALPHABET, ("b",) * n)) is not None:
+        if right_quotient(x, NormalForm(n, (), 0)) is not None:
             return BPowerDivisibility(False, n, None, probe)
     raise ChainVerificationError("element not divisible by b^0")  # pragma: no cover
 

@@ -14,6 +14,11 @@ the second row by 1/y).  diag(1, y) lies in the ring but its inverse does
 not, so it is a nonunit, and the peeling step can be repeated forever.  Each
 claim is checked once: ``peel`` certifies every step, and ``peel_chain`` the
 nonunit cofactor, which is the same matrix at every step.
+
+Since ``m = diag(1, y) * rest``, ``det(m) = y * det(rest)``, and y is a unit
+of Q[x, y, y^{-1}], so ``det(m) != 0`` exactly when ``det(rest) != 0``.
+``peel`` therefore forms one determinant per step, that of ``rest``, and
+multiplies by the monomials ``1``, ``y`` and ``y^-1`` in O(terms).
 """
 
 from __future__ import annotations
@@ -84,15 +89,20 @@ def peel(m: Mat2) -> tuple[Mat2, Mat2]:
     """Split a special-form matrix as diag(1, y) * (same shape).
 
     Returns (PEEL_UNIT, rest), rest being m with its second row scaled by 1/y,
-    so det(rest) = det(m)/y.  Before returning it checks, once each, that rest
-    is in the ring, that rest is special-form (so det(rest) != 0), and that
-    PEEL_UNIT * rest == m exactly.  ``peel_chain`` checks that PEEL_UNIT is a
-    nonunit.
+    so det(m) = y * det(rest).  m is refused with ValueError unless its second
+    column is in xS (checked first, as it is cheap) and rest is special-form;
+    y is a unit, so det(rest) != 0 exactly when det(m) != 0, and det(rest) is
+    the one determinant formed.  Before returning it also checks that rest is
+    in the ring and that PEEL_UNIT * rest == m exactly.  ``peel_chain`` checks
+    that PEEL_UNIT is a nonunit.
     """
-    if not is_special_form(m):
-        raise ValueError("peel requires the special form (second column in xS, det != 0)")
+    refusal = "peel requires the special form (second column in xS, det != 0)"
+    if not (m.a12.divisible_by_x() and m.a22.divisible_by_x()):
+        raise ValueError(refusal)
     rest = Mat2(m.a11, m.a12, m.a21 * Y_INV, m.a22 * Y_INV)
-    checks = (in_ring(rest), is_special_form(rest), PEEL_UNIT * rest == m)
+    if not is_special_form(rest):
+        raise ValueError(refusal)
+    checks = (in_ring(rest), PEEL_UNIT * rest == m)
     if not all(checks):  # pragma: no cover - exact arithmetic
         raise AssertionError(f"peel certificate failed: {checks}")
     return PEEL_UNIT, rest
@@ -111,7 +121,9 @@ def peel_chain(m: Mat2, steps: int) -> Iterator[PeelStep]:
     The cofactor is PEEL_UNIT at every step, so its nonunit claim (it is in
     the ring, its inverse is not) is checked once, before the first step.
     Each remainder's membership, special shape, nonzero determinant and
-    exact product are checked inside ``peel``.
+    exact product are checked inside ``peel``, which forms one determinant a
+    step, the remainder's: scaling by ``y^-1`` costs O(terms), and the rest
+    is that determinant and one 2x2 product.
     """
     if steps < 1:
         raise ValueError("steps must be positive")

@@ -10,7 +10,10 @@ become integer numerators over one common denominator, the terms combine in
 plain ints, zero sums drop out while still ints, and each output coefficient
 is reduced to a ``Fraction`` once.  A product of an m- and an n-term element
 costs m*n int products and one gcd per output term; a zero operand returns
-at once.
+at once.  A single-term operand ``c x^i y^j`` costs O(n): the other operand's
+keys shift by (i, j), which keeps them sorted, and its coefficients are
+multiplied by ``c`` only when ``c`` is not 1, so a monomial such as ``y^-1``
+builds no new ``Fraction``.
 
 The parser bounds its work twice: ``MAX_TERM_PRODUCTS`` caps the number of
 term products a literal may cost, and ``MAX_COEFF_BITS`` the size of every
@@ -71,6 +74,10 @@ class LaurentPoly2:
     def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         if not self.terms or not other.terms:
             return ZERO
+        if len(other.terms) == 1:
+            return _times_term(self, *other.terms[0])
+        if len(self.terms) == 1:
+            return _times_term(other, *self.terms[0])
         den_f, den_g = _denominator(self), _denominator(other)
         g = _numerators(other, den_g)
         acc: dict[tuple[int, int], int] = {}
@@ -121,6 +128,15 @@ def _numerators(p: LaurentPoly2, den: int) -> list[tuple[tuple[int, int], int]]:
     if den == 1:
         return [(key, c.numerator) for key, c in p.terms]
     return [(key, c.numerator * (den // c.denominator)) for key, c in p.terms]
+
+
+def _times_term(p: LaurentPoly2, key: tuple[int, int], coeff: Fraction) -> LaurentPoly2:
+    """p * coeff x^i y^j.  Adding (i, j) to every key keeps the keys sorted and
+    distinct, and a product of nonzero coefficients is nonzero."""
+    i, j = key
+    if coeff == 1:
+        return LaurentPoly2(tuple([((i1 + i, j1 + j), c) for (i1, j1), c in p.terms]))
+    return LaurentPoly2(tuple([((i1 + i, j1 + j), c * coeff) for (i1, j1), c in p.terms]))
 
 
 def _from_numerators(acc: dict[tuple[int, int], int], den: int) -> LaurentPoly2:

@@ -1,11 +1,13 @@
-"""Every README command, and the seeded skew-ring audits, print exactly the
-recorded bytes.
+"""Every README command, the seeded skew-ring audits and the certified-chain
+commands print exactly the recorded bytes.
 
 ``cli_golden.json`` maps each command line (without the leading
 ``factorlab``) to its exit code, standard output and standard error, as
 ``cli.main`` produced them before the skew-product kernel ran on integer
-rows.  The README commands are read from the README itself, so a command
-added there without a recorded answer fails here.
+rows (README commands and audits) and before the accp, b-power and peeling
+certificates ran at the level of runs (``CHAINS``).  The README commands are
+read from the README itself, so a command added there without a recorded
+answer fails here.
 """
 
 import json
@@ -24,6 +26,14 @@ AUDITS = (
     "skew-check --config qtorus:q=3 --pairs 1000 --seed 1",
     "filt-check --pairs 500 --json",
 )
+CHAINS = (
+    'in-all-sbn "b b b"',
+    'in-all-sbn "a^2 b^3" --json',
+    "accp --depth 3 --json",
+    "pi-demo --steps 3 --json",
+    'pi-demo --matrix "1; x; 1; x" --steps 3',  # det 0: refused, exit 2
+    'pi-demo --matrix "1; x; 1; 1" --steps 3',  # second column not in xS: exit 2
+)
 
 
 def _readme_commands() -> list[str]:
@@ -40,10 +50,10 @@ README_COMMANDS = _readme_commands()
 
 def test_golden_covers_exactly_the_checked_commands():
     assert len(README_COMMANDS) == 13
-    assert sorted(GOLDEN) == sorted(README_COMMANDS + list(AUDITS))
+    assert sorted(GOLDEN) == sorted(README_COMMANDS + list(AUDITS) + list(CHAINS))
 
 
-@pytest.mark.parametrize("command", README_COMMANDS + list(AUDITS))
+@pytest.mark.parametrize("command", README_COMMANDS + list(AUDITS) + list(CHAINS))
 def test_command_output_is_byte_identical(capsys, command):
     code = main(shlex.split(command))
     captured = capsys.readouterr()

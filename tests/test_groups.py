@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -184,3 +185,43 @@ def test_display_round_trips_through_the_parser():
         if not nf.is_identity():
             assert all(re.fullmatch(r"[ab]\^[1-9]\d*", tok) for tok in text.split()), text
         assert monoid.normalize(w(text)) == nf
+
+
+def test_embed_normal_form_matches_letters_up_to_12():
+    forms = list(monoid.enumerate_elements(12))
+    assert len(forms) == 3314
+    for nf in forms:
+        assert embed_normal_form(nf) == embed_letters(nf.letters())
+
+
+def _random_normal_form(rnd, top):
+    head_b = rnd.randint(0, top)
+    blocks = []
+    for i in range(rnd.randint(0, 3)):
+        a_run = rnd.choice((1, 3) if i or head_b else (1, 2, 3))
+        blocks.append((a_run, rnd.randint(1, top)))
+    return NormalForm(head_b, tuple(blocks), rnd.randint(0, top))
+
+
+def test_embed_normal_form_matches_letters_on_long_runs():
+    rnd = random.Random(16)
+    top = 10**5
+    forms = [NormalForm(top, ((3, top), (1, top)), top), NormalForm(0, ((2, top), (3, 1)), top)]
+    forms += [_random_normal_form(rnd, top) for _ in range(6)]
+    for nf in forms:
+        assert embed_normal_form(nf) == embed_letters(nf.letters())
+
+
+def test_quotients_take_normal_forms_as_words():
+    forms = list(monoid.enumerate_elements(5))
+    words = [nf.word() for nf in forms]
+    found = 0
+    for u, u_word in zip(forms, words):
+        for x, x_word in zip(forms, words):
+            left = left_quotient(u, x)
+            assert left == left_quotient(u_word, x_word)
+            right = right_quotient(x, u)
+            assert right == right_quotient(x_word, u_word)
+            found += (left is not None) + (right is not None)
+    # both answers occur, so the comparison is not between two constant Nones
+    assert 0 < found < 2 * len(forms) ** 2

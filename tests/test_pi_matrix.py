@@ -67,8 +67,11 @@ def test_peel_example():
 
 
 def test_peel_rejects_non_special_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="second column in xS"):
         peel(IDENTITY)
+    # second column in xS but det = x - x = 0: refused through det(rest) = det(m)/y
+    with pytest.raises(ValueError, match="det != 0"):
+        peel(Mat2(ONE, X, ONE, X))
 
 
 def test_peel_chain_ten_steps():
@@ -94,7 +97,24 @@ def test_peel_chain_forms_each_product_once(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly2, "__mul__", counting)
     assert len(list(peel_chain(start, 25))) == 25
-    assert products <= 14 * 25
+    # per step: two monomial row scalings, one determinant, one 2x2 product
+    assert products <= 12 * 25
+
+
+def test_peel_chain_forms_one_determinant_per_step(monkeypatch):
+    calls = 0
+    det = Mat2.det
+
+    def counting(m):
+        nonlocal calls
+        calls += 1
+        return det(m)
+
+    monkeypatch.setattr(Mat2, "det", counting)
+    for steps in (1, 7, 25):
+        calls = 0
+        assert len(list(peel_chain(demo_matrix(), steps))) == steps
+        assert calls == steps
 
 
 def power_of_y_inv(k):
@@ -202,23 +222,38 @@ def _random_fraction_laurent(rnd):
     )
 
 
-def test_laurent_kernel_matches_plain_fraction_reference():
-    def same(got, want):
-        assert got == want and hash(got) == hash(want)
-        assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
-        keys = [key for key, _ in got.terms]
-        assert keys == sorted(set(keys))
+def _same(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
+    keys = [key for key, _ in got.terms]
+    assert keys == sorted(set(keys))
 
+
+def test_laurent_kernel_matches_plain_fraction_reference():
     rnd = random.Random(14)
     for _ in range(400):
         f, g = _random_fraction_laurent(rnd), _random_fraction_laurent(rnd)
         if rnd.random() < 0.3:
             # g cancels part of f, so sums and differences drop terms
             g = LaurentPoly2(tuple((k, -c) for k, c in f.terms[::2])) + g
-        same(f + g, _ref_sum(f, g))
-        same(f - g, _ref_sum(f, g, sign=-1))
-        same(f - f, ZERO)
-        same(f * g, _ref_product(f, g))
+        _same(f + g, _ref_sum(f, g))
+        _same(f - g, _ref_sum(f, g, sign=-1))
+        _same(f - f, ZERO)
+        _same(f * g, _ref_product(f, g))
+
+
+def test_single_term_products_match_plain_fraction_reference():
+    rnd = random.Random(16)
+    coefficients = (Fraction(1), Fraction(-1), Fraction(3, 7))
+    for _ in range(400):
+        f = _random_fraction_laurent(rnd)
+        t = LaurentPoly2.term(rnd.randint(0, 3), rnd.randint(-4, 3), rnd.choice(coefficients))
+        want = _ref_product(f, t)
+        _same(f * t, want)
+        _same(t * f, want)
+        _same(t * t, _ref_product(t, t))
+        _same(t * ZERO, ZERO)
+        _same(ZERO * t, ZERO)
 
 
 def test_power_squares(monkeypatch):

@@ -50,9 +50,20 @@ Length functions:
   bound certified through it is valid);
 * ``lambda_laurent(f) = (window width) + weight(lowest coefficient)`` is the
   Laurent analogue;
-* ``lambda_filtration(f)`` is the total degree in x and y, exactly additive
-  on products in the Weyl algebra because the associated graded ring of that
-  filtration is a commutative polynomial ring.
+* the total degree in x and y is exactly additive on products in the Weyl
+  algebra, because the associated graded ring of that filtration is a
+  commutative polynomial ring.
+
+Audits: ``check_skew_laws`` for ``weyl`` and ``qplane`` and
+``check_filtration_additivity`` run on integer rows from draw to verdict and
+build no ``Fraction``, ``Poly`` or ``OrePoly``.  A pair costs one row product
+(the ``ore_mul`` bound above, with w_f, w_g <= 4 and n_f, n_g <= 4), the
+lengths read off the trimmed rows, and for the leading law one scaled row and
+one row product compared with the product's top row by cross-multiplication.
+The ``qtorus`` audit multiplies ``LaurentOrePoly`` objects.  The draws call
+``rng.getrandbits`` as ``Random.randint`` does (see :func:`_below`), so a seed
+gives the same operands, and leaves the generator in the same state, as
+draws through ``randint``.
 """
 
 from __future__ import annotations
@@ -116,17 +127,8 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return ZERO_POLY
         den_f, den_g = _denominator(self.coeffs), _denominator(other.coeffs)
-        g = _numerators(other.coeffs, den_g)
-        out = [0] * (len(self.coeffs) + len(g) - 1)
-        for i, c in enumerate(_numerators(self.coeffs, den_f)):
-            if c:
-                for j, d in enumerate(g, i):
-                    out[j] += c * d
-        return _from_numerators(out, den_f * den_g)
-
-    def derivative(self) -> "Poly":
-        den = _denominator(self.coeffs)
-        return _from_numerators(_ddy_row(_numerators(self.coeffs, den)), den)
+        row = _mul_row(_numerators(self.coeffs, den_f), _numerators(other.coeffs, den_g))
+        return _from_numerators(row, den_f * den_g)
 
     def shift_argument(self, k: int) -> "Poly":
         """p(y) -> p(y + k), by an integer Taylor shift of the numerators."""
@@ -141,7 +143,7 @@ class Poly:
             return self
         den = _denominator(self.coeffs)
         top = len(self.coeffs) - 1
-        row = _scale_row(_numerators(self.coeffs, den), _scale_factors(q, top))
+        row = _scale_row(_numerators(self.coeffs, den), _scale_factors(q.numerator, q.denominator, top))
         return _from_numerators(row, den * q.denominator**top)
 
     def display(self) -> str:
@@ -193,6 +195,16 @@ def _from_numerators(nums: list[int], den: int) -> Poly:
     return Poly(tuple([Fraction(n, den) for n in nums]))
 
 
+def _mul_row(f: list[int], g: list[int]) -> list[int]:
+    """Product of two nonzero numerator rows (the convolution of their entries)."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
+        if c:
+            for j, d in enumerate(g, i):
+                out[j] += c * d
+    return out
+
+
 def _ddy_row(row: list[int]) -> list[int]:
     """d/dy on numerators: entry i times i, constant term dropped."""
     return [i * n for i, n in enumerate(row[1:], 1)]
@@ -209,17 +221,17 @@ def _shift_row(row: list[int], k: int) -> list[int]:
     return out
 
 
-def _scale_factors(q: Fraction, top: int) -> list[int]:
-    """num(q)^i * den(q)^(top - i) for i = 0..top: y -> q y on rows of
-    y-degree at most ``top`` once the denominator gains den(q)^top."""
+def _scale_factors(num: int, den: int, top: int) -> list[int]:
+    """num^i * den^(top - i) for i = 0..top: y -> (num / den) y on rows of
+    y-degree at most ``top`` once the denominator gains den^top."""
     out = [1] * (top + 1)
     power = 1
     for i in range(1, top + 1):
-        power *= q.numerator
+        power *= num
         out[i] = power
     power = 1
     for i in range(top - 1, -1, -1):
-        power *= q.denominator
+        power *= den
         out[i] *= power
     return out
 
@@ -274,11 +286,6 @@ class SigmaDelta:
         if self.sigma == "shift":
             return p.shift_argument(k)
         return p.scale_argument(self.q**k)
-
-    def apply_delta(self, p: Poly) -> Poly:
-        if self.delta == "zero":
-            return ZERO_POLY
-        return p.derivative()
 
 
 def weyl() -> SigmaDelta:
@@ -407,32 +414,27 @@ def _times_x(rows: list[list[int]], sd: SigmaDelta, factors: list[int]) -> list[
     return out
 
 
-def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
-    """f * g as the sum over j of (f * x^j) * b_j, for g = sum_j x^j b_j,
-    in integer numerators over one denominator for the whole product."""
-    _same_twist(f, g)
-    if f.is_zero() or g.is_zero():
-        return ore_zero(f.sd)
-    sd = f.sd
-    den_f = _denominator([c for a in f.coeffs for c in a.coeffs])
-    den_g = _denominator([c for b in g.coeffs for c in b.coeffs])
-    f_xj = [_numerators(a.coeffs, den_f) for a in f.coeffs]  # rows of f * x^j
-    width_f = max(len(a.coeffs) for a in f.coeffs)
-    width_g = max(len(b.coeffs) for b in g.coeffs)
-    n_g = len(g.coeffs)
+def _mul_rows(f: list[list[int]], g: list[list[int]], sd: SigmaDelta) -> tuple[list[list[int]], int]:
+    """Numerator rows of f * g from the nonzero numerator rows of f and g, as
+    the sum over j of (f * x^j) * b_j for g = sum_j x^j b_j, and the factor by
+    which the product's denominator exceeds den_f * den_g.  The rows come back
+    trimmed, with no trailing zero row."""
+    width_f = max(len(a) for a in f)
+    width_g = max(len(b) for b in g)
+    n_g = len(g)
     factors: list[int] = []
     step = 1  # denominator gained by f * x^j per x
     if sd.sigma == "scale":
-        factors = _scale_factors(sd.q, width_f - 1)
+        factors = _scale_factors(sd.q.numerator, sd.q.denominator, width_f - 1)
         step = sd.q.denominator ** (width_f - 1)
-    out = [[0] * (width_f + width_g - 1) for _ in range(len(f.coeffs) + n_g - 1)]
-    for j, b in enumerate(g.coeffs):
+    out = [[0] * (width_f + width_g - 1) for _ in range(len(f) + n_g - 1)]
+    f_xj = f  # rows of f * x^j
+    for j, b_row in enumerate(g):
         if j:
             f_xj = _times_x(f_xj, sd, factors)
-        if b.is_zero():
+        if not b_row:
             continue
         # bring (f * x^j) * b_j to the product's denominator den_f * den_g * step^(n_g - 1)
-        b_row = _numerators(b.coeffs, den_g)
         if step != 1:
             lift = step ** (n_g - 1 - j)
             b_row = [n * lift for n in b_row]
@@ -442,8 +444,26 @@ def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
                 if a:
                     for k, d in enumerate(b_row, i):
                         acc[k] += a * d
-    den = den_f * den_g * step ** (n_g - 1)
-    return _ore([_from_numerators(row, den) for row in out], sd)
+    for row in out:
+        while row and not row[-1]:
+            row.pop()
+    while out and not out[-1]:
+        out.pop()
+    return out, step ** (n_g - 1)
+
+
+def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
+    """f * g as the sum over j of (f * x^j) * b_j, for g = sum_j x^j b_j,
+    in integer numerators over one denominator for the whole product."""
+    _same_twist(f, g)
+    if f.is_zero() or g.is_zero():
+        return ore_zero(f.sd)
+    den_f = _denominator([c for a in f.coeffs for c in a.coeffs])
+    den_g = _denominator([c for b in g.coeffs for c in b.coeffs])
+    f_rows = [_numerators(a.coeffs, den_f) for a in f.coeffs]
+    rows, gained = _mul_rows(f_rows, [_numerators(b.coeffs, den_g) for b in g.coeffs], f.sd)
+    den = den_f * den_g * gained
+    return OrePoly(tuple([_from_numerators(row, den) for row in rows]), f.sd)
 
 
 def lambda_skew(f: OrePoly) -> int:
@@ -453,30 +473,29 @@ def lambda_skew(f: OrePoly) -> int:
     return len(f.coeffs) - 1 + base_weight(f.leading())
 
 
-def lambda_filtration(f: OrePoly) -> int:
-    """Total degree in x and y; requires the Weyl configuration.
-
-    Additive on products: the graded ring of the total-degree filtration of
-    the Weyl algebra is the commutative polynomial ring in two variables.
-    """
-    if f.sd != weyl():
-        raise ValueError("the filtration length is defined for the Weyl configuration")
-    if f.is_zero():
-        raise ValueError("length of the zero element is undefined")
-    return max(i + base_weight(c) for i, c in enumerate(f.coeffs) if not c.is_zero())
+def _lambda_rows(rows: list[list[int]]) -> int:
+    """lambda_skew on trimmed numerator rows; -1 for zero."""
+    return len(rows) + len(rows[-1]) - 2 if rows else -1
 
 
-def leading_law_holds(product: OrePoly, f: OrePoly, g: OrePoly) -> bool:
-    """Check the top-coefficient identity of a product f*g:
-    lead(f*g) = sigma^{deg g}(lead f) * lead g."""
-    if f.is_zero() or g.is_zero():
-        return product.is_zero()
-    l = len(g.coeffs) - 1
-    expected = f.sd.apply_sigma(f.leading(), l) * g.leading()
-    return (
-        product.deg_x() == f.deg_x() + g.deg_x()
-        and product.leading() == expected
-    )
+def _total_degree(rows: list[list[int]]) -> int:
+    """Total degree in x and y (the filtration length) on trimmed numerator rows; -1 for zero."""
+    return max((i + len(row) - 1 for i, row in enumerate(rows) if row), default=-1)
+
+
+def _leading_law_rows(p: list[list[int]], den: int, f: list[list[int]], g: list[list[int]], sd: SigmaDelta) -> bool:
+    """The top-coefficient identity lead(f*g) = sigma^l(lead f) * lead g,
+    l = deg_x g, for integer rows f and g and the rows ``p`` over ``den`` of
+    their product, compared by cross-multiplication.  sigma^l is the identity
+    or, for a scale twist, y -> q^l y over the denominator den(q)^(l * top)."""
+    if len(p) != len(f) + len(g) - 1:
+        return False
+    lead, den_lead = f[-1], 1
+    if sd.sigma == "scale":
+        l, top = len(g) - 1, len(lead) - 1
+        lead = _scale_row(lead, _scale_factors(sd.q.numerator**l, sd.q.denominator**l, top))
+        den_lead = sd.q.denominator ** (l * top)
+    return [n * den_lead for n in p[-1]] == [n * den for n in _mul_row(lead, g[-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -577,33 +596,61 @@ class LawCheckResult:
 _SMALL = tuple(Fraction(n) for n in range(-4, 5))  # _SMALL[n + 4] == n
 
 
+def _below(bits, n: int, k: int) -> int:
+    """A uniform draw from range(n), with ``bits = rng.getrandbits`` and
+    k = n.bit_length(): CPython's ``Random._randbelow_with_getrandbits``, so
+    it reads the generator exactly as ``rng.randrange(n)`` does, and
+    ``a + _below(bits, b - a + 1, k)`` exactly as ``rng.randint(a, b)``."""
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _poly_row(bits, nonzero: bool = False) -> list[int]:
+    """Up to 4 integers, each drawn from -4..4, with trailing zeros trimmed."""
+    while True:
+        row = [_below(bits, 9, 4) - 4 for _ in range(_below(bits, 5, 3))]
+        while row and not row[-1]:
+            row.pop()
+        if row or not nonzero:
+            return row
+
+
+def _ore_rows(bits, nonzero: bool = False) -> list[list[int]]:
+    """Up to 4 :func:`_poly_row` rows, with trailing zero rows trimmed."""
+    while True:
+        rows = [_poly_row(bits) for _ in range(_below(bits, 5, 3))]
+        while rows and not rows[-1]:
+            rows.pop()
+        if rows or not nonzero:
+            return rows
+
+
+def _small_poly(row: list[int]) -> Poly:
+    return Poly(tuple([_SMALL[n + 4] for n in row]))
+
+
 def random_poly(rng, nonzero: bool = False) -> Poly:
     """Up to 4 coefficients, each drawn from -4..4."""
-    while True:
-        nums = [rng.randint(-4, 4) for _ in range(rng.randint(0, 4))]
-        while nums and not nums[-1]:
-            nums.pop()
-        if nums or not nonzero:
-            return Poly(tuple([_SMALL[n + 4] for n in nums]))
+    return _small_poly(_poly_row(rng.getrandbits, nonzero))
 
 
 def random_ore(rng, sd: SigmaDelta, nonzero: bool = False) -> OrePoly:
     """Up to 4 x-coefficients, each a :func:`random_poly`."""
-    while True:
-        f = _ore([random_poly(rng) for _ in range(rng.randint(0, 4))], sd)
-        if not nonzero or not f.is_zero():
-            return f
+    return OrePoly(tuple([_small_poly(row) for row in _ore_rows(rng.getrandbits, nonzero)]), sd)
 
 
 def random_laurent(rng, sd: SigmaDelta, nonzero: bool = False) -> LaurentOrePoly:
     """Up to 3 :func:`random_poly` terms at x-exponents drawn from -3..3."""
+    bits = rng.getrandbits
     while True:
         acc: dict[int, Poly] = {}
-        for _ in range(rng.randint(0, 3)):
-            p = random_poly(rng)
-            if not p.is_zero():
-                e = rng.randint(-3, 3)
-                acc[e] = acc.get(e, ZERO_POLY) + p
+        for _ in range(_below(bits, 4, 3)):
+            row = _poly_row(bits)
+            if row:
+                e = _below(bits, 7, 3) - 3
+                acc[e] = acc.get(e, ZERO_POLY) + _small_poly(row)
         f = laurent(acc, sd)
         if not nonzero or not f.is_zero():
             return f
@@ -621,18 +668,19 @@ def check_skew_laws(configuration: str, pairs: int, seed: int = 0) -> LawCheckRe
 
     kind, sd = parse_config(configuration)
     rng = random.Random(seed)
+    bits = rng.getrandbits
     right_bad = 0
     law_bad = 0
     for _ in range(pairs):
         if kind == "poly":
-            g = random_ore(rng, sd, nonzero=True)
-            h = random_ore(rng, sd, nonzero=True)
-            while h.is_unit():
-                h = random_ore(rng, sd, nonzero=True)
-            p = ore_mul(g, h)
-            if not lambda_skew(p) > lambda_skew(g):
+            g = _ore_rows(bits, nonzero=True)
+            h = _ore_rows(bits, nonzero=True)
+            while len(h) == 1 and len(h[0]) == 1:  # the units are the nonzero scalars
+                h = _ore_rows(bits, nonzero=True)
+            p, den = _mul_rows(g, h, sd)
+            if not _lambda_rows(p) > _lambda_rows(g):
                 right_bad += 1
-            if not leading_law_holds(p, g, h):
+            if not _leading_law_rows(p, den, g, h, sd):
                 law_bad += 1
         else:
             g = random_laurent(rng, sd, nonzero=True)
@@ -653,12 +701,11 @@ def check_filtration_additivity(pairs: int, seed: int = 0) -> tuple[int, int]:
     import random
 
     sd = weyl()
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     bad = 0
     for _ in range(pairs):
-        f = random_ore(rng, sd, nonzero=True)
-        g = random_ore(rng, sd, nonzero=True)
-        if lambda_filtration(ore_mul(f, g)) != lambda_filtration(f) + lambda_filtration(g):
+        f = _ore_rows(bits, nonzero=True)
+        g = _ore_rows(bits, nonzero=True)
+        if _total_degree(_mul_rows(f, g, sd)[0]) != _total_degree(f) + _total_degree(g):
             bad += 1
     return pairs, bad
-

@@ -8,6 +8,7 @@ import factorlab.ore as ore_module
 from factorlab.ore import (
     Y,
     ZERO_POLY,
+    LawCheckResult,
     LaurentOrePoly,
     OrePoly,
     Poly,
@@ -15,13 +16,11 @@ from factorlab.ore import (
     base_weight,
     check_filtration_additivity,
     check_skew_laws,
-    lambda_filtration,
     lambda_laurent,
     lambda_skew,
     laurent,
     laurent_lowest_law_holds,
     laurent_mul,
-    leading_law_holds,
     ore_from_coeffs,
     ore_mul,
     ore_zero,
@@ -37,6 +36,31 @@ ONE_POLY = Poly.of(1)
 WEYL = weyl()
 QPLANE = quantum_plane(2)
 TWISTS = (weyl(), quantum_plane(3), SigmaDelta("shift"), quantum_plane(Fraction(-3, 4)))
+
+
+def lambda_filtration(f: OrePoly) -> int:
+    """Reference total degree in x and y on ``OrePoly`` objects (Weyl only)."""
+    if f.sd != weyl():
+        raise ValueError("the filtration length is defined for the Weyl configuration")
+    if f.is_zero():
+        raise ValueError("length of the zero element is undefined")
+    return max(i + base_weight(c) for i, c in enumerate(f.coeffs) if not c.is_zero())
+
+
+def leading_law_holds(product: OrePoly, f: OrePoly, g: OrePoly) -> bool:
+    """Reference top-coefficient identity of a product f*g on ``OrePoly``
+    objects: lead(f*g) = sigma^{deg g}(lead f) * lead g."""
+    if f.is_zero() or g.is_zero():
+        return product.is_zero()
+    l = len(g.coeffs) - 1
+    expected = f.sd.apply_sigma(f.leading(), l) * g.leading()
+    return product.deg_x() == f.deg_x() + g.deg_x() and product.leading() == expected
+
+
+def _ddy(p: Poly) -> Poly:
+    """d/dy through the row core that ore_mul applies."""
+    den = ore_module._denominator(p.coeffs)
+    return ore_module._from_numerators(ore_module._ddy_row(ore_module._numerators(p.coeffs, den)), den)
 
 
 def ore_add(f: OrePoly, g: OrePoly) -> OrePoly:
@@ -117,7 +141,7 @@ def test_base_poly_arithmetic():
     q = Poly.of(0, 0, 1)  # y^2
     assert (p * q).coeffs == (0, 0, 1, 2)
     assert (p + q).coeffs == (1, 2, 1)
-    assert p.derivative() == Poly.of(2)
+    assert _ddy(p) == Poly.of(2)
     assert Poly.of(1, 0, 1).shift_argument(1) == Poly.of(2, 2, 1)  # (y+1)^2 + 1
     assert Poly.of(0, 1, 1).scale_argument(Fraction(2)) == Poly.of(0, 2, 4)
     assert base_weight(Poly.of(5)) == 0
@@ -138,8 +162,8 @@ def test_sigma_derivation_law_in_the_weyl_algebra():
     rnd = random.Random(0)
     for _ in range(100):
         p, q = random_poly(rnd), random_poly(rnd)
-        lhs = WEYL.apply_delta(p * q)
-        rhs = WEYL.apply_sigma(p) * WEYL.apply_delta(q) + WEYL.apply_delta(p) * q
+        lhs = _ddy(p * q)
+        rhs = WEYL.apply_sigma(p) * _ddy(q) + _ddy(p) * q
         assert lhs == rhs
 
 
@@ -363,7 +387,7 @@ def test_poly_kernel_stays_exact():
         return all(type(c) is Fraction for c in p.coeffs)
 
     p, q = Poly.of(1, -2, 3), Poly.of(Fraction(1, 2), 0, 0, 5)
-    assert all(exact(r) for r in (p + q, q + p, p * q, p.derivative(), q.derivative()))
+    assert all(exact(r) for r in (p + q, q + p, p * q, _ddy(p), _ddy(q)))
     assert exact(p.scale_argument(Fraction(3))) and exact(p.scale_argument(Fraction(3) ** -2))
     assert p.scale_argument(Fraction(3) ** -2) == Poly.of(1, Fraction(-2, 9), Fraction(3, 81))
     assert exact(QPLANE.apply_sigma(q, -3))
@@ -426,24 +450,200 @@ def test_poly_kernel_matches_plain_fraction_reference():
         same(p + q, _ref_add(p, q))
         same(p - p, ZERO_POLY)
         same(p * q, _ref_mul(p, q))
-        same(p.derivative(), _ref_trim(i * c for i, c in enumerate(p.coeffs) if i))
+        same(_ddy(p), _ref_trim(i * c for i, c in enumerate(p.coeffs) if i))
         k = rnd.randint(-3, 3)
         same(p.shift_argument(k), _ref_shift(p, k))
         s = Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 5), rnd.randint(1, 4)) ** rnd.randint(-3, 3)
         same(p.scale_argument(s), _ref_trim(c * s**i for i, c in enumerate(p.coeffs)))
 
 
-def test_random_draws_match_the_former_expression():
-    def former(rng, nonzero=False):
-        while True:
-            p = Poly.of(*[Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(0, 4))])
-            if not nonzero or not p.is_zero():
-                return p
+def _former_random_poly(rng, nonzero=False):
+    while True:
+        p = Poly.of(*[Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(0, 4))])
+        if not nonzero or not p.is_zero():
+            return p
 
-    for nonzero in (False, True):
-        ours, theirs = random.Random(15), random.Random(15)
-        for _ in range(500):
-            p = random_poly(ours, nonzero)
-            assert p == former(theirs, nonzero)
-            assert all(type(c) is Fraction for c in p.coeffs)
-        assert ours.getstate() == theirs.getstate()
+
+def _former_random_ore(rng, sd, nonzero=False):
+    while True:
+        f = ore_from_coeffs([_former_random_poly(rng) for _ in range(rng.randint(0, 4))], sd)
+        if not nonzero or not f.is_zero():
+            return f
+
+
+def _former_random_laurent(rng, sd, nonzero=False):
+    while True:
+        acc = {}
+        for _ in range(rng.randint(0, 3)):
+            p = _former_random_poly(rng)
+            if not p.is_zero():
+                e = rng.randint(-3, 3)
+                acc[e] = acc.get(e, ZERO_POLY) + p
+        f = laurent(acc, sd)
+        if not nonzero or not f.is_zero():
+            return f
+
+
+def test_random_draws_match_the_former_expression():
+    def polys(f):
+        if isinstance(f, Poly):
+            return [f]
+        return [c[1] if isinstance(c, tuple) else c for c in f.coeffs]
+
+    draws = (
+        (random_poly, _former_random_poly, ()),
+        (random_ore, _former_random_ore, (WEYL,)),
+        (random_laurent, _former_random_laurent, (QPLANE,)),
+    )
+    for draw, former, args in draws:
+        for nonzero in (False, True):
+            ours, theirs = random.Random(15), random.Random(15)
+            for _ in range(500):
+                f = draw(ours, *args, nonzero)
+                assert f == former(theirs, *args, nonzero)
+                assert all(type(c) is Fraction for p in polys(f) for c in p.coeffs)
+            assert ours.getstate() == theirs.getstate(), draw
+
+
+def test_below_reads_the_generator_as_randrange():
+    # _below replicates CPython's Random._randbelow_with_getrandbits; a
+    # Python whose randrange draws differently fails here, not in the audits
+    for n in range(1, 65):
+        ours, theirs = random.Random(n), random.Random(n)
+        for _ in range(40):
+            assert ore_module._below(ours.getrandbits, n, n.bit_length()) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate(), n
+
+
+def _rows(f: OrePoly) -> list[list[int]]:
+    """Integer rows of an OrePoly whose coefficients are integers."""
+    return [ore_module._numerators(a.coeffs, 1) for a in f.coeffs]
+
+
+def test_row_audit_matches_object_references_pair_by_pair():
+    rnd = random.Random(16)
+    verdicts = set()
+    for q in (None, 2, 3, Fraction(-3, 4), Fraction(1, 5)):
+        sd = WEYL if q is None else quantum_plane(q)
+        other = QPLANE if q is None else WEYL
+        for _ in range(150):
+            g, h = random_ore(rnd, sd, nonzero=True), random_ore(rnd, sd, nonzero=True)
+            g_rows, h_rows = _rows(g), _rows(h)
+            p, den = ore_module._mul_rows(g_rows, h_rows, sd)
+            product = ore_mul(g, h)
+            assert ore_module._lambda_rows(p) == lambda_skew(product)
+            assert ore_module._lambda_rows(g_rows) == lambda_skew(g)
+            assert ore_module._leading_law_rows(p, den, g_rows, h_rows, sd) == leading_law_holds(product, g, h)
+            # the product taken in another twist breaks the law whenever
+            # sigma^l moves lead g, so both verdicts occur
+            wrong, wrong_den = ore_module._mul_rows(g_rows, h_rows, other)
+            wrong_product = ore_mul(ore_from_coeffs(g.coeffs, other), ore_from_coeffs(h.coeffs, other))
+            verdict = ore_module._leading_law_rows(wrong, wrong_den, g_rows, h_rows, sd)
+            assert verdict == leading_law_holds(wrong_product, g, h)
+            verdicts.add(verdict)
+            if q is None:
+                for rows, f in ((p, product), (g_rows, g), (h_rows, h)):
+                    assert ore_module._total_degree(rows) == lambda_filtration(f)
+    assert verdicts == {True, False}
+
+
+def _former_check_skew_laws(configuration, pairs, seed):
+    """check_skew_laws as it ran on OrePoly and LaurentOrePoly objects."""
+    kind, sd = parse_config(configuration)
+    rng = random.Random(seed)
+    right_bad = law_bad = 0
+    for _ in range(pairs):
+        if kind == "poly":
+            g = _former_random_ore(rng, sd, nonzero=True)
+            h = _former_random_ore(rng, sd, nonzero=True)
+            while h.is_unit():
+                h = _former_random_ore(rng, sd, nonzero=True)
+            p = ore_mul(g, h)
+            right_bad += not lambda_skew(p) > lambda_skew(g)
+            law_bad += not leading_law_holds(p, g, h)
+        else:
+            g = _former_random_laurent(rng, sd, nonzero=True)
+            h = _former_random_laurent(rng, sd, nonzero=True)
+            while h.is_unit():
+                h = _former_random_laurent(rng, sd, nonzero=True)
+            p = laurent_mul(g, h)
+            right_bad += not lambda_laurent(p) > lambda_laurent(g)
+            law_bad += not laurent_lowest_law_holds(p, g, h)
+    return LawCheckResult(configuration, pairs, right_bad, law_bad)
+
+
+def _former_check_filtration_additivity(pairs, seed):
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(pairs):
+        f = _former_random_ore(rng, WEYL, nonzero=True)
+        g = _former_random_ore(rng, WEYL, nonzero=True)
+        if lambda_filtration(ore_mul(f, g)) != lambda_filtration(f) + lambda_filtration(g):
+            bad += 1
+    return pairs, bad
+
+
+ROW_AUDIT_CONFIGS = ("weyl", "qplane:q=2", "qplane:q=3", "qplane:q=-3/4", "qplane:q=1/5")
+
+
+def test_audits_match_the_former_bodies():
+    for seed in range(40):
+        for config in ROW_AUDIT_CONFIGS + ("qtorus:q=2",):
+            assert check_skew_laws(config, 40, seed) == _former_check_skew_laws(config, 40, seed), (config, seed)
+        assert check_filtration_additivity(40, seed) == _former_check_filtration_additivity(40, seed), seed
+
+
+def test_audits_count_violations_of_a_broken_product(monkeypatch):
+    # the golden audit lines print only zero counts, so a blind audit would
+    # pass them: break the product and the audits must count violations
+    with monkeypatch.context() as m:
+        m.setattr(ore_module, "_sigma_row", lambda row, sigma, factors: row)
+        broken = check_skew_laws("qplane:q=2", 300, seed=17)
+        assert broken.leading_law_violations > 0
+        assert broken == _former_check_skew_laws("qplane:q=2", 300, 17)
+
+    mul_rows = ore_module._mul_rows
+
+    def without_top_row(f, g, sd):
+        rows, gained = mul_rows(f, g, sd)
+        return rows[:-1], gained
+
+    monkeypatch.setattr(ore_module, "_mul_rows", without_top_row)
+    for config in ("weyl", "qplane:q=-3/4"):
+        result = check_skew_laws(config, 300, seed=17)
+        assert result.right_length_violations > 0 and result.leading_law_violations > 0, config
+    assert check_filtration_additivity(300, seed=17)[1] > 0
+
+
+def test_row_audits_build_no_objects(monkeypatch):
+    # a counted-event gate in place of wall time: the poly-configuration
+    # audits stay on integer rows, and their Fraction count does not grow
+    # with the number of pairs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the row-level audits build no OrePoly, Poly or Fraction per pair")
+
+    for name in ("ore_mul", "_from_numerators", "Poly", "OrePoly"):
+        monkeypatch.setattr(ore_module, name, forbidden)
+    made = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+
+    def fractions_made(audit, *args):
+        nonlocal made
+        made = 0
+        result = audit(*args)
+        return made, result
+
+    for config in ROW_AUDIT_CONFIGS:
+        few, _ = fractions_made(check_skew_laws, config, 5, 18)
+        many, result = fractions_made(check_skew_laws, config, 400, 18)
+        assert few == many and result.ok(), config
+    few, _ = fractions_made(check_filtration_additivity, 5, 18)
+    many, result = fractions_made(check_filtration_additivity, 400, 18)
+    assert few == many and result == (400, 0)

@@ -125,9 +125,6 @@ class AlgebraElement:
             return "0"
         return " + ".join(f"{self.field.format(c)} * {nf.display()}" for nf, c in self.terms)
 
-    def __str__(self) -> str:
-        return self.display()
-
 
 def _build(field: Field, mapping: dict[NormalForm, Scalar]) -> AlgebraElement:
     items = [(nf, c) for nf, c in mapping.items() if c != 0]

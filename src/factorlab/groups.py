@@ -51,12 +51,6 @@ class FreeWord:
                 raise ValueError("adjacent runs with equal letters are not reduced")
             prev = letter
 
-    def __len__(self) -> int:
-        return sum(abs(e) for _, e in self.runs)
-
-    def is_identity(self) -> bool:
-        return not self.runs
-
     def display(self) -> str:
         if not self.runs:
             return "e"
@@ -114,9 +108,6 @@ class GroupElement:
 
     def display(self) -> str:
         return f"{self.free.display()} | a^{self.shift}"
-
-    def __str__(self) -> str:
-        return self.display()
 
 
 IDENTITY = GroupElement(FreeWord(), 0)
@@ -213,9 +204,6 @@ class NormalForm:
             runs += [("a", a_run), ("b", b_run)]
         runs.append(("a", self.tail_a))
         return " ".join(f"{ch}^{n}" for ch, n in runs if n) or "e"
-
-    def __str__(self) -> str:
-        return self.display()
 
 
 def embed_normal_form(nf: NormalForm) -> GroupElement:

@@ -1,12 +1,9 @@
-"""Executable contracts for length functions on a monoid.
+"""Executable contract for right length functions on a monoid.
 
 A *right length function* satisfies lambda(a) > lambda(b) whenever a = b*c
-with c a nonunit; a *length function* demands the strict drop for inner
-factors on either side; a *superadditive* one satisfies
-lambda(a*b) >= lambda(a) + lambda(b) and vanishes only on units.  Each
-stronger contract implies the weaker ones, and any of them bounds the number
-of atoms in a factorization: a product of k nonunits has value at least k, so
-max factorization length <= lambda.
+with c a nonunit.  It bounds the number of atoms in a factorization: a
+product of k nonunits has value at least k, so max factorization
+length <= lambda.
 
 The harness is host-agnostic: callers hand over factorization triples
 (whole, left, right) together with the host's multiplication and equality,
@@ -20,10 +17,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 RIGHT = "right"
-TWO_SIDED = "two-sided"
-SUPERADDITIVE = "superadditive"
-
-_FLAVORS = (RIGHT, TWO_SIDED, SUPERADDITIVE)
 
 
 @dataclass(frozen=True)
@@ -34,8 +27,8 @@ class LengthFunctionSpec:
     name: str = "lambda"
 
     def __post_init__(self) -> None:
-        if self.flavor not in _FLAVORS:
-            raise ValueError(f"flavor must be one of {_FLAVORS}: {self.flavor!r}")
+        if self.flavor != RIGHT:
+            raise ValueError(f"flavor must be {RIGHT!r}: {self.flavor!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ def check_contract(
     multiply: Callable[[Any, Any], Any],
     equals: Callable[[Any, Any], bool],
 ) -> ViolationReport:
-    """Evaluate the declared contract on verified factorization triples.
+    """Evaluate the right-length contract on verified factorization triples.
 
     Each sample (whole, left, right) must satisfy whole = left * right in the
     host structure; a failing triple is an input error, not a violation.
@@ -98,24 +91,8 @@ def check_contract(
         lam_r = spec.evaluator(right)
         if min(lam_w, lam_l, lam_r) < 0:
             raise ValueError("length function values must be non-negative")
-        if spec.flavor == SUPERADDITIVE:
-            if lam_w < lam_l + lam_r:
-                violations.append(
-                    Violation(whole, left, right, lam_w, lam_l, lam_r, "lambda(bc) < lambda(b)+lambda(c)")
-                )
-            for value, element in ((lam_w, whole), (lam_l, left), (lam_r, right)):
-                if value == 0 and not spec.is_unit(element):
-                    violations.append(
-                        Violation(whole, left, right, lam_w, lam_l, lam_r, "lambda = 0 on a nonunit")
-                    )
-                    break
-        else:
-            if not spec.is_unit(right) and lam_w <= lam_l:
-                violations.append(
-                    Violation(whole, left, right, lam_w, lam_l, lam_r, "no strict drop against right factor")
-                )
-            if spec.flavor == TWO_SIDED and not spec.is_unit(left) and lam_w <= lam_r:
-                violations.append(
-                    Violation(whole, left, right, lam_w, lam_l, lam_r, "no strict drop against left factor")
-                )
+        if not spec.is_unit(right) and lam_w <= lam_l:
+            violations.append(
+                Violation(whole, left, right, lam_w, lam_l, lam_r, "no strict drop against right factor")
+            )
     return ViolationReport(spec.flavor, len(samples), tuple(violations))

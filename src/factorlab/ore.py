@@ -30,24 +30,23 @@ and reduce each output coefficient once.  ``ore_mul`` does the same for the
 whole product: each operand becomes integer rows over one denominator, every
 f*x^j step and every (f*x^j)*b_j accumulation runs in ints, and the product
 builds one ``Fraction`` per output coefficient at the end.  The twists act
-on rows through one core each, which the ``Poly`` methods wrap: d/dy
-multiplies entry i by i, the shift y -> y + 1 is an integer Taylor shift,
-and the scaling y -> q y multiplies entry i by num(q)^i den(q)^(top - i),
-with top the largest y-degree of f (sigma keeps degrees), so each x adds a
-factor den(q)^top to the denominator and the j-th contribution is lifted by
-den(q)^((n_g - 1 - j) * top).  For operands whose coefficients have at
-most w_f and w_g entries, a product thus costs at most
+on rows through one core each: d/dy multiplies entry i by i, and the scaling
+y -> q y (which ``Poly.scale_argument`` wraps) multiplies entry i by
+num(q)^i den(q)^(top - i), with top the largest y-degree of f (sigma keeps
+degrees), so each x adds a factor den(q)^top to the denominator and the j-th
+contribution is lifted by den(q)^((n_g - 1 - j) * top).  For operands whose
+coefficients have at most w_f and w_g entries, a product thus costs at most
 (n_f + n_g) * n_g * w_f * w_g int products in the accumulation, O(w_f) int
-operations per application of sigma or delta (O(w_f^2) for the shift), and
-one gcd per output coefficient.
+operations per application of sigma or delta, and one gcd per output
+coefficient.
 
 Length functions:
 
 * ``lambda_skew(f) = deg_x(f) + weight(leading coefficient)`` strictly drops
   against proper right factors, with ``weight`` the y-degree on the base ring
   (an upper-bound surrogate for the maximal factorization length: the
-  y-degree is itself superadditive and vanishes exactly on units, so every
-  bound certified through it is valid);
+  y-degree is additive on products, Q[y] being a domain, and vanishes
+  exactly on units, so every bound certified through it is valid);
 * ``lambda_laurent(f) = (window width) + weight(lowest coefficient)`` is the
   Laurent analogue;
 * the total degree in x and y is exactly additive on products in the Weyl
@@ -75,8 +74,6 @@ from typing import Iterable, Sequence
 
 from .xy_poly import parse_rational
 
-NEG_INF = float("-inf")
-
 
 # ---------------------------------------------------------------------------
 # dense univariate polynomials over Q
@@ -87,21 +84,8 @@ class Poly:
 
     coeffs: tuple[Fraction, ...] = ()
 
-    @staticmethod
-    def of(*values) -> "Poly":
-        return _poly(values)
-
-    @staticmethod
-    def const(value) -> "Poly":
-        return Poly.of(value)
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def is_unit(self) -> bool:
         return len(self.coeffs) == 1
@@ -117,23 +101,12 @@ class Poly:
             out[i] += n
         return _from_numerators(out, den)
 
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return ZERO_POLY
         den_f, den_g = _denominator(self.coeffs), _denominator(other.coeffs)
         row = _mul_row(_numerators(self.coeffs, den_f), _numerators(other.coeffs, den_g))
         return _from_numerators(row, den_f * den_g)
-
-    def shift_argument(self, k: int) -> "Poly":
-        """p(y) -> p(y + k), by an integer Taylor shift of the numerators."""
-        den = _denominator(self.coeffs)
-        return _from_numerators(_shift_row(_numerators(self.coeffs, den), k), den)
 
     def scale_argument(self, q: Fraction) -> "Poly":
         """p(y) -> p(q y): over the common denominator ``d * den(q)^m``
@@ -145,32 +118,6 @@ class Poly:
         top = len(self.coeffs) - 1
         row = _scale_row(_numerators(self.coeffs, den), _scale_factors(q.numerator, q.denominator, top))
         return _from_numerators(row, den * q.denominator**top)
-
-    def display(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*y" if c != 1 else "y")
-            else:
-                parts.append(f"{c}*y^{i}" if c != 1 else f"y^{i}")
-        return " + ".join(parts)
-
-    def __str__(self) -> str:
-        return self.display()
-
-
-def _poly(coeffs: Sequence) -> Poly:
-    """Trim trailing zeros; wrap only the values that are not already Fractions."""
-    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return Poly(tuple(coeffs))
 
 
 def _denominator(coeffs: Sequence[Fraction]) -> int:
@@ -210,17 +157,6 @@ def _ddy_row(row: list[int]) -> list[int]:
     return [i * n for i, n in enumerate(row[1:], 1)]
 
 
-def _shift_row(row: list[int], k: int) -> list[int]:
-    """y -> y + k on numerators, by repeated synthetic division (the Taylor
-    shift of Knuth, *TAOCP* vol. 2, sec. 4.6.4): (n - 1) n / 2 int steps."""
-    out = list(row)
-    if k:
-        for i in range(len(out) - 1):
-            for j in range(len(out) - 2, i - 1, -1):
-                out[j] += k * out[j + 1]
-    return out
-
-
 def _scale_factors(num: int, den: int, top: int) -> list[int]:
     """num^i * den^(top - i) for i = 0..top: y -> (num / den) y on rows of
     y-degree at most ``top`` once the denominator gains den^top."""
@@ -242,7 +178,6 @@ def _scale_row(row: list[int], factors: list[int]) -> list[int]:
 
 
 ZERO_POLY = Poly()
-Y = Poly.of(0, 1)
 
 
 def base_weight(p: Poly) -> int:
@@ -259,17 +194,17 @@ def base_weight(p: Poly) -> int:
 class SigmaDelta:
     """Endomorphism/derivation pair driving the commutation rule.
 
-    sigma is one of identity, shift (y -> y+1) or scale (y -> q y); delta is
-    zero or d/dy, the latter only alongside the identity.  All three sigmas
-    are degree-preserving automorphisms, so they map nonunits to nonunits.
+    sigma is the identity or a scaling (y -> q y); delta is zero or d/dy, the
+    latter only alongside the identity.  Both sigmas are degree-preserving
+    automorphisms, so they map nonunits to nonunits.
     """
 
-    sigma: str  # "identity" | "shift" | "scale"
+    sigma: str  # "identity" | "scale"
     delta: str = "zero"  # "zero" | "ddy"
     q: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        if self.sigma not in ("identity", "shift", "scale"):
+        if self.sigma not in ("identity", "scale"):
             raise ValueError(f"unknown sigma: {self.sigma!r}")
         if self.delta not in ("zero", "ddy"):
             raise ValueError(f"unknown delta: {self.delta!r}")
@@ -283,8 +218,6 @@ class SigmaDelta:
     def apply_sigma(self, p: Poly, k: int = 1) -> Poly:
         if self.sigma == "identity" or k == 0:
             return p
-        if self.sigma == "shift":
-            return p.shift_argument(k)
         return p.scale_argument(self.q**k)
 
 
@@ -335,9 +268,6 @@ class OrePoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def deg_x(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
     def leading(self) -> Poly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -347,35 +277,12 @@ class OrePoly:
         # units are the nonzero scalars
         return len(self.coeffs) == 1 and self.coeffs[0].is_unit()
 
-    def display(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            if i == 0:
-                parts.append(f"({c.display()})")
-            elif i == 1:
-                parts.append(f"x*({c.display()})")
-            else:
-                parts.append(f"x^{i}*({c.display()})")
-        return " + ".join(parts)
-
-    def __str__(self) -> str:
-        return self.display()
-
 
 def _ore(coeffs: Sequence[Poly], sd: SigmaDelta) -> OrePoly:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     return OrePoly(tuple(coeffs), sd)
-
-
-def ore_zero(sd: SigmaDelta) -> OrePoly:
-    return OrePoly((), sd)
 
 
 def ore_from_coeffs(coeffs: Iterable[Poly], sd: SigmaDelta) -> OrePoly:
@@ -392,8 +299,6 @@ def _sigma_row(row: list[int], sigma: str, factors: list[int]) -> list[int]:
     :func:`_scale_factors`, and the caller's denominator gains den(q)^top."""
     if sigma == "identity":
         return row
-    if sigma == "shift":
-        return _shift_row(row, 1)
     return _scale_row(row, factors)
 
 
@@ -457,7 +362,7 @@ def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
     in integer numerators over one denominator for the whole product."""
     _same_twist(f, g)
     if f.is_zero() or g.is_zero():
-        return ore_zero(f.sd)
+        return OrePoly((), f.sd)
     den_f = _denominator([c for a in f.coeffs for c in a.coeffs])
     den_g = _denominator([c for b in g.coeffs for c in b.coeffs])
     f_rows = [_numerators(a.coeffs, den_f) for a in f.coeffs]
@@ -531,14 +436,6 @@ class LaurentOrePoly:
     def is_unit(self) -> bool:
         # units are scalar multiples of powers of x
         return len(self.coeffs) == 1 and self.coeffs[0][1].is_unit()
-
-    def display(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"x^{e}*({c.display()})" for e, c in self.coeffs)
-
-    def __str__(self) -> str:
-        return self.display()
 
 
 def laurent(coeffs: dict[int, Poly], sd: SigmaDelta) -> LaurentOrePoly:

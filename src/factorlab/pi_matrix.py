@@ -44,9 +44,6 @@ class Mat2:
     def entries(self) -> tuple[LaurentPoly2, ...]:
         return (self.a11, self.a12, self.a21, self.a22)
 
-    def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(*(p + q for p, q in zip(self.entries(), other.entries())))
-
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
             self.a11 * other.a11 + self.a12 * other.a21,
@@ -61,9 +58,6 @@ class Mat2:
     def display(self) -> str:
         e = [p.display() for p in self.entries()]
         return f"[{e[0]}, {e[1]}; {e[2]}, {e[3]}]"
-
-    def __str__(self) -> str:
-        return self.display()
 
 
 IDENTITY = Mat2(ONE, ZERO, ZERO, ONE)

@@ -46,16 +46,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def display(self) -> str:
-        """Runs with exponents above 1, e.g. ``b a^2 b``; ``e`` if empty."""
-        if not self.letters:
-            return "e"
-        runs = ((ch, len(list(grp))) for ch, grp in itertools.groupby(self.letters))
-        return " ".join(f"{ch}^{n}" if n > 1 else ch for ch, n in runs)
-
-    def __str__(self) -> str:
-        return self.display()
-
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse ``b a a b`` or ``b^2 a^3``; ``e`` denotes the empty word.

@@ -110,9 +110,6 @@ class LaurentPoly2:
             parts.append("*".join(factors))
         return " + ".join(parts)
 
-    def __str__(self) -> str:
-        return self.display()
-
 
 ZERO = LaurentPoly2(())
 ONE = LaurentPoly2.constant(1)

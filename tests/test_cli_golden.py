@@ -5,7 +5,9 @@ commands print exactly the recorded bytes.
 ``factorlab``) to its exit code, standard output and standard error, as
 ``cli.main`` produced them before the skew-product kernel ran on integer
 rows (README commands and audits) and before the accp, b-power and peeling
-certificates ran at the level of runs (``CHAINS``).  The README commands are
+certificates ran at the level of runs (``CHAINS``), and before the code that
+no command reaches was deleted (``BRANCHES``, one command per normal branch
+that the other lines miss).  The README commands are
 read from the README itself, so a command added there without a recorded
 answer fails here.
 """
@@ -34,6 +36,17 @@ CHAINS = (
     'pi-demo --matrix "1; x; 1; x" --steps 3',  # det 0: refused, exit 2
     'pi-demo --matrix "1; x; 1; 1" --steps 3',  # second column not in xS: exit 2
 )
+BRANCHES = (
+    'atom "e"',  # unit
+    'atom "a"',  # atom
+    'lengths "a b" --cap 5',  # a finite length set
+    'alg add "1 * a" "1/2 * b"',
+    'alg deg "0"',  # prints None
+    'alg mul "1/2 * a" "b" --char 7',
+    'alg divides "1 * a" "0"',
+    "growth --family free --n-max 10 --gnuplot",
+    'normalize "a b" --json',  # a group element with a free part
+)
 
 
 def _readme_commands() -> list[str]:
@@ -46,14 +59,15 @@ def _readme_commands() -> list[str]:
 
 
 README_COMMANDS = _readme_commands()
+CHECKED = README_COMMANDS + list(AUDITS) + list(CHAINS) + list(BRANCHES)
 
 
 def test_golden_covers_exactly_the_checked_commands():
     assert len(README_COMMANDS) == 13
-    assert sorted(GOLDEN) == sorted(README_COMMANDS + list(AUDITS) + list(CHAINS))
+    assert sorted(GOLDEN) == sorted(CHECKED)
 
 
-@pytest.mark.parametrize("command", README_COMMANDS + list(AUDITS) + list(CHAINS))
+@pytest.mark.parametrize("command", CHECKED)
 def test_command_output_is_byte_identical(capsys, command):
     code = main(shlex.split(command))
     captured = capsys.readouterr()

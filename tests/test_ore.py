@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -6,7 +5,6 @@ import pytest
 
 import factorlab.ore as ore_module
 from factorlab.ore import (
-    Y,
     ZERO_POLY,
     LawCheckResult,
     LaurentOrePoly,
@@ -23,7 +21,6 @@ from factorlab.ore import (
     laurent_mul,
     ore_from_coeffs,
     ore_mul,
-    ore_zero,
     parse_config,
     quantum_plane,
     random_laurent,
@@ -32,10 +29,24 @@ from factorlab.ore import (
     weyl,
 )
 
-ONE_POLY = Poly.of(1)
+
+def _ref_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return Poly(tuple(coeffs))
+
+
+def _poly(*values) -> Poly:
+    """The polynomial sum_i values[i] y^i."""
+    return _ref_trim(map(Fraction, values))
+
+
+ONE_POLY = _poly(1)
+Y = _poly(0, 1)
 WEYL = weyl()
 QPLANE = quantum_plane(2)
-TWISTS = (weyl(), quantum_plane(3), SigmaDelta("shift"), quantum_plane(Fraction(-3, 4)))
+TWISTS = (weyl(), quantum_plane(3), quantum_plane(Fraction(-3, 4)))
 
 
 def lambda_filtration(f: OrePoly) -> int:
@@ -54,7 +65,7 @@ def leading_law_holds(product: OrePoly, f: OrePoly, g: OrePoly) -> bool:
         return product.is_zero()
     l = len(g.coeffs) - 1
     expected = f.sd.apply_sigma(f.leading(), l) * g.leading()
-    return product.deg_x() == f.deg_x() + g.deg_x() and product.leading() == expected
+    return len(product.coeffs) == len(f.coeffs) + len(g.coeffs) - 1 and product.leading() == expected
 
 
 def _ddy(p: Poly) -> Poly:
@@ -88,8 +99,6 @@ def _reference_mul(f: OrePoly, g: OrePoly) -> OrePoly:
     def sigma(c, sd):
         if sd.sigma == "identity":
             return c
-        if sd.sigma == "shift":
-            return _ref_shift(c, 1)
         return _ref_trim(a * sd.q**i for i, a in enumerate(c.coeffs))
 
     def delta(c, sd):
@@ -110,7 +119,7 @@ def _reference_mul(f: OrePoly, g: OrePoly) -> OrePoly:
         return vec
 
     if f.is_zero() or g.is_zero():
-        return ore_zero(f.sd)
+        return OrePoly((), f.sd)
     out = [ZERO_POLY] * (len(f.coeffs) + len(g.coeffs) - 1)
     for i, a in enumerate(f.coeffs):
         if a.is_zero():
@@ -137,14 +146,13 @@ def _random_fraction_ore(rnd, sd, max_deg_x):
 
 
 def test_base_poly_arithmetic():
-    p = Poly.of(1, 2)  # 1 + 2y
-    q = Poly.of(0, 0, 1)  # y^2
+    p = _poly(1, 2)  # 1 + 2y
+    q = _poly(0, 0, 1)  # y^2
     assert (p * q).coeffs == (0, 0, 1, 2)
     assert (p + q).coeffs == (1, 2, 1)
-    assert _ddy(p) == Poly.of(2)
-    assert Poly.of(1, 0, 1).shift_argument(1) == Poly.of(2, 2, 1)  # (y+1)^2 + 1
-    assert Poly.of(0, 1, 1).scale_argument(Fraction(2)) == Poly.of(0, 2, 4)
-    assert base_weight(Poly.of(5)) == 0
+    assert _ddy(p) == _poly(2)
+    assert _poly(0, 1, 1).scale_argument(Fraction(2)) == _poly(0, 2, 4)
+    assert base_weight(_poly(5)) == 0
     with pytest.raises(ValueError):
         base_weight(ZERO_POLY)
 
@@ -152,8 +160,9 @@ def test_base_poly_arithmetic():
 def test_sigma_delta_validation():
     with pytest.raises(ValueError):
         SigmaDelta("scale", "ddy", Fraction(2))
-    with pytest.raises(ValueError):
-        SigmaDelta("twist")
+    for sigma in ("twist", "shift"):
+        with pytest.raises(ValueError, match="unknown sigma"):
+            SigmaDelta(sigma)
     with pytest.raises(ValueError):
         SigmaDelta("scale", "zero", Fraction(0))
 
@@ -169,10 +178,9 @@ def test_sigma_derivation_law_in_the_weyl_algebra():
 
 def test_sigma_preserves_units_and_nonunits():
     rnd = random.Random(1)
-    for sd in (SigmaDelta("shift"), QPLANE):
-        for _ in range(100):
-            p = random_poly(rnd, nonzero=True)
-            assert sd.apply_sigma(p).is_unit() == p.is_unit()
+    for _ in range(100):
+        p = random_poly(rnd, nonzero=True)
+        assert QPLANE.apply_sigma(p).is_unit() == p.is_unit()
 
 
 def test_weyl_commutation():
@@ -185,7 +193,7 @@ def test_weyl_commutation():
 def test_quantum_plane_commutation():
     y = ore_from_coeffs([Y], QPLANE)
     x = ore_from_coeffs([ZERO_POLY, ONE_POLY], QPLANE)
-    assert ore_mul(y, x) == ore_from_coeffs([ZERO_POLY, Poly.of(0, 2)], QPLANE)
+    assert ore_mul(y, x) == ore_from_coeffs([ZERO_POLY, _poly(0, 2)], QPLANE)
 
 
 def test_mul_identity_and_descriptor_mismatch():
@@ -201,10 +209,10 @@ def test_lambda_skew_examples():
     y = ore_from_coeffs([Y], WEYL)
     x = ore_from_coeffs([ZERO_POLY, ONE_POLY], WEYL)
     assert lambda_skew(ore_mul(y, x)) == 2
-    assert lambda_skew(ore_from_coeffs([Poly.of(7)], WEYL)) == 0
+    assert lambda_skew(ore_from_coeffs([_poly(7)], WEYL)) == 0
     assert lambda_skew(ore_from_coeffs([ZERO_POLY, ZERO_POLY, ONE_POLY], WEYL)) == 2
     with pytest.raises(ValueError):
-        lambda_skew(ore_zero(WEYL))
+        lambda_skew(OrePoly((), WEYL))
 
 
 def test_lambda_filtration_examples():
@@ -212,7 +220,7 @@ def test_lambda_filtration_examples():
     x = ore_from_coeffs([ZERO_POLY, ONE_POLY], WEYL)
     yx = ore_mul(y, x)
     assert lambda_filtration(yx) == 2
-    assert lambda_filtration(ore_from_coeffs([Poly.of(3)], WEYL)) == 0
+    assert lambda_filtration(ore_from_coeffs([_poly(3)], WEYL)) == 0
     assert lambda_filtration(ore_mul(yx, yx)) == 4
     with pytest.raises(ValueError):
         lambda_filtration(ore_from_coeffs([ZERO_POLY, ONE_POLY], QPLANE))
@@ -246,7 +254,7 @@ def test_laurent_examples():
 
 def test_laurent_units():
     qt = QPLANE
-    assert laurent({5: Poly.of(3)}, qt).is_unit()
+    assert laurent({5: _poly(3)}, qt).is_unit()
     assert not laurent({5: Y}, qt).is_unit()
     assert not laurent({0: ONE_POLY, 1: ONE_POLY}, qt).is_unit()
 
@@ -318,12 +326,10 @@ def test_parse_config():
         parse_config("heisenberg")
 
 
-def test_ore_add_and_display():
-    f = ore_from_coeffs([Poly.of(Fraction(1, 2)), ZERO_POLY, Poly.of(1, 1)], WEYL)
-    g = ore_add(f, ore_from_coeffs([Poly.of(Fraction(1, 2))], WEYL))
+def test_ore_add():
+    f = ore_from_coeffs([_poly(Fraction(1, 2)), ZERO_POLY, _poly(1, 1)], WEYL)
+    g = ore_add(f, ore_from_coeffs([_poly(Fraction(1, 2))], WEYL))
     assert g.coeffs[0] == ONE_POLY
-    assert "x^2" in f.display()
-    assert OrePoly((), WEYL).display() == "0"
 
 
 def test_ore_mul_matches_reference_product():
@@ -386,25 +392,18 @@ def test_poly_kernel_stays_exact():
     def exact(p):
         return all(type(c) is Fraction for c in p.coeffs)
 
-    p, q = Poly.of(1, -2, 3), Poly.of(Fraction(1, 2), 0, 0, 5)
+    p, q = _poly(1, -2, 3), _poly(Fraction(1, 2), 0, 0, 5)
     assert all(exact(r) for r in (p + q, q + p, p * q, _ddy(p), _ddy(q)))
     assert exact(p.scale_argument(Fraction(3))) and exact(p.scale_argument(Fraction(3) ** -2))
-    assert p.scale_argument(Fraction(3) ** -2) == Poly.of(1, Fraction(-2, 9), Fraction(3, 81))
+    assert p.scale_argument(Fraction(3) ** -2) == _poly(1, Fraction(-2, 9), Fraction(3, 81))
     assert exact(QPLANE.apply_sigma(q, -3))
-    assert SigmaDelta("scale", "zero", 3).apply_sigma(Poly.of(1, 1), -1) == Poly.of(1, Fraction(1, 3))
+    assert SigmaDelta("scale", "zero", 3).apply_sigma(_poly(1, 1), -1) == _poly(1, Fraction(1, 3))
     rnd = random.Random(12)
     for sd in TWISTS:
         f, g = _dense_ore(rnd, sd, 5), _dense_ore(rnd, sd, 5)
         assert all(exact(c) for c in ore_mul(f, g).coeffs)
-    assert (Poly.of(1, 1) + Poly.of(0, -1)).coeffs == (Fraction(1),)
-    assert (Poly.of(1, 1) + Poly.of(-1, -1)).is_zero()
-
-
-def _ref_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return Poly(tuple(coeffs))
+    assert (_poly(1, 1) + _poly(0, -1)).coeffs == (Fraction(1),)
+    assert (_poly(1, 1) + _poly(-1, -1)).is_zero()
 
 
 def _ref_add(p, q):
@@ -423,16 +422,8 @@ def _ref_mul(p, q):
     return _ref_trim(out)
 
 
-def _ref_shift(p, k):
-    # y^m coefficient of sum_i c_i (y + k)^i is sum_i c_i C(i, m) k^(i - m)
-    return _ref_trim(
-        sum((c * math.comb(i, m) * Fraction(k) ** (i - m) for i, c in enumerate(p.coeffs) if i >= m), Fraction(0))
-        for m in range(len(p.coeffs))
-    )
-
-
 def _random_fraction_poly(rnd, max_len=6):
-    return Poly.of(*(Fraction(rnd.randint(-6, 6), rnd.randint(1, 12)) for _ in range(rnd.randint(0, max_len))))
+    return _poly(*(Fraction(rnd.randint(-6, 6), rnd.randint(1, 12)) for _ in range(rnd.randint(0, max_len))))
 
 
 def test_poly_kernel_matches_plain_fraction_reference():
@@ -446,20 +437,17 @@ def test_poly_kernel_matches_plain_fraction_reference():
         p, q = _random_fraction_poly(rnd), _random_fraction_poly(rnd)
         if p.coeffs and rnd.random() < 0.3:
             # q ends in minus the top of p, so p + q has trailing zeros to trim
-            q = Poly.of(*(Fraction(rnd.randint(-1, 1), rnd.randint(1, 12)) for _ in p.coeffs[1:]), -p.leading())
+            q = _poly(*(Fraction(rnd.randint(-1, 1), rnd.randint(1, 12)) for _ in p.coeffs[1:]), -p.coeffs[-1])
         same(p + q, _ref_add(p, q))
-        same(p - p, ZERO_POLY)
         same(p * q, _ref_mul(p, q))
         same(_ddy(p), _ref_trim(i * c for i, c in enumerate(p.coeffs) if i))
-        k = rnd.randint(-3, 3)
-        same(p.shift_argument(k), _ref_shift(p, k))
         s = Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 5), rnd.randint(1, 4)) ** rnd.randint(-3, 3)
         same(p.scale_argument(s), _ref_trim(c * s**i for i, c in enumerate(p.coeffs)))
 
 
 def _former_random_poly(rng, nonzero=False):
     while True:
-        p = Poly.of(*[Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(0, 4))])
+        p = _poly(*[Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(0, 4))])
         if not nonzero or not p.is_zero():
             return p
 

@@ -27,8 +27,8 @@ def test_enumerate_words_shortlex():
     assert len(set(keys)) == len(keys)
 
 
-def test_word_display_and_parse():
-    assert w("e").display() == "e"
+def test_word_parse():
+    assert w("e").letters == w("").letters == ()
     assert parse_word("b^2 a^3 b^1 a^2", AB).letters == w("b b a a a b a a").letters
     with pytest.raises(ValueError):
         parse_word("q", AB)

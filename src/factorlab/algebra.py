@@ -176,7 +176,11 @@ def deg_a(f: AlgebraElement):
     """Highest a-count over the support; -inf for the zero element.
 
     Additive on products of nonzero elements, because the algebra embeds into
-    a skew Laurent extension graded by the a-exponent over a domain.
+    a skew Laurent extension graded by the a-exponent over a domain.  That
+    needs K[M] to have no zero divisors: M embeds in a group with unique
+    products, so supp f * supp g has a uniquely represented element whose
+    coefficient survives in f*g (pinned on seeded supports by
+    ``tests/test_groups.py::test_supports_multiply_with_two_uniquely_represented_products``).
     """
     if f.is_zero():
         return NEG_INF

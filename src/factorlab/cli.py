@@ -145,7 +145,7 @@ def cmd_alg(args) -> int:
     if args.op == "deg":
         d = algebra.deg_a(lhs)
         payload["deg_a"] = None if d == algebra.NEG_INF else d
-        _emit(args, payload, [str(payload["deg_a"])])
+        _emit(args, payload, [str(d)])  # -inf for zero, as deg_a names it
         return 0
     rhs = algebra.parse_element(args.rhs, field) if args.rhs is not None else None
     if args.op == "add":

@@ -23,22 +23,28 @@ independent checks.
 
 Arithmetic (the content/primitive-part representation, Knuth, *TAOCP*
 vol. 2, sec. 4.6.1): ``Poly`` stores one reduced ``Fraction`` per
-coefficient, but its operations bring their operands to integer numerators
-over one common denominator (the lcm of the coefficient denominators),
-compute in plain ints, trim trailing zeros while the values are still ints,
-and reduce each output coefficient once.  ``ore_mul`` does the same for the
-whole product: each operand becomes integer rows over one denominator, every
-f*x^j step and every (f*x^j)*b_j accumulation runs in ints, and the product
-builds one ``Fraction`` per output coefficient at the end.  The twists act
-on rows through one core each: d/dy multiplies entry i by i, and the scaling
-y -> q y (which ``Poly.scale_argument`` wraps) multiplies entry i by
-num(q)^i den(q)^(top - i), with top the largest y-degree of f (sigma keeps
-degrees), so each x adds a factor den(q)^top to the denominator and the j-th
-contribution is lifted by den(q)^((n_g - 1 - j) * top).  For operands whose
-coefficients have at most w_f and w_g entries, a product thus costs at most
+coefficient.  ``ore_mul`` brings each operand to integer rows over one
+common denominator (the lcm of its coefficient denominators), runs every
+f*x^j step and every (f*x^j)*b_j accumulation in plain ints, trims trailing
+zeros while the values are still ints, and builds one ``Fraction`` per
+output coefficient at the end.  The twists act on rows through one core
+each: d/dy multiplies entry i by i, and sigma^k, the scaling y -> q^k y for
+any integer k (:func:`_sigma_power`), multiplies entry i by
+num^i den^(top - i), with num/den = q^k in lowest terms and top the largest
+y-degree of f (sigma keeps degrees).  So each x adds a factor den(q)^top to
+the denominator, and the j-th contribution is lifted by
+den(q)^((n_g - 1 - j) * top).  For operands whose coefficients have at most
+w_f and w_g entries, a product thus costs at most
 (n_f + n_g) * n_g * w_f * w_g int products in the accumulation, O(w_f) int
 operations per application of sigma or delta, and one gcd per output
 coefficient.
+
+Skew Laurent rings (the quantum torus, delta = 0): an element is
+x^e * F with e its lowest x-exponent and F = sum_i x^i a_i, held as e and
+the integer rows of F, an empty row for each missing exponent.  As
+a * x^k = x^k * sigma^k(a), x^e F * x^k G = x^(e + k) sigma^k(F) G, so a
+Laurent product is one twist of F's rows by sigma^k followed by the row
+product of ``ore_mul``.
 
 Length functions:
 
@@ -47,22 +53,25 @@ Length functions:
   (an upper-bound surrogate for the maximal factorization length: the
   y-degree is additive on products, Q[y] being a domain, and vanishes
   exactly on units, so every bound certified through it is valid);
-* ``lambda_laurent(f) = (window width) + weight(lowest coefficient)`` is the
-  Laurent analogue;
+* lambda_laurent(f) = (window width) + weight(lowest coefficient) is the
+  Laurent analogue, read off the rows by the ``qtorus`` audit;
 * the total degree in x and y is exactly additive on products in the Weyl
   algebra, because the associated graded ring of that filtration is a
   commutative polynomial ring.
 
-Audits: ``check_skew_laws`` for ``weyl`` and ``qplane`` and
+Audits: ``check_skew_laws`` for every configuration and
 ``check_filtration_additivity`` run on integer rows from draw to verdict and
-build no ``Fraction``, ``Poly`` or ``OrePoly``.  A pair costs one row product
-(the ``ore_mul`` bound above, with w_f, w_g <= 4 and n_f, n_g <= 4), the
-lengths read off the trimmed rows, and for the leading law one scaled row and
-one row product compared with the product's top row by cross-multiplication.
-The ``qtorus`` audit multiplies ``LaurentOrePoly`` objects.  The draws call
-``rng.getrandbits`` as ``Random.randint`` does (see :func:`_below`), so a seed
-gives the same operands, and leaves the generator in the same state, as
-draws through ``randint``.
+build no ``Fraction``, ``Poly`` or ``OrePoly``.  A pair costs at most one
+twist of g's rows, one row product (the ``ore_mul`` bound above, with
+w_f, w_g <= 4 and n_f, n_g <= 4 for skew polynomials, n_f, n_g <= 7 for
+Laurent elements), the lengths read off the trimmed rows, and for the law
+one scaled row and one row product compared with the product's top row
+(leading law) or bottom row (lowest law) by cross-multiplication.  The law
+forms its sigma power from the operands, not from the product, so a wrong
+twist in the product is counted.  The draws call ``rng.getrandbits`` as
+``Random.randint`` does (see :func:`_below`), so a seed gives the same
+operands, and leaves the generator in the same state, as draws through
+``randint``.
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .xy_poly import parse_rational
@@ -89,35 +99,6 @@ class Poly:
 
     def is_unit(self) -> bool:
         return len(self.coeffs) == 1
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if len(self.coeffs) < len(other.coeffs):
-            return other + self
-        if not other.coeffs:
-            return self
-        den = math.lcm(_denominator(self.coeffs), _denominator(other.coeffs))
-        out = _numerators(self.coeffs, den)
-        for i, n in enumerate(_numerators(other.coeffs, den)):
-            out[i] += n
-        return _from_numerators(out, den)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return ZERO_POLY
-        den_f, den_g = _denominator(self.coeffs), _denominator(other.coeffs)
-        row = _mul_row(_numerators(self.coeffs, den_f), _numerators(other.coeffs, den_g))
-        return _from_numerators(row, den_f * den_g)
-
-    def scale_argument(self, q: Fraction) -> "Poly":
-        """p(y) -> p(q y): over the common denominator ``d * den(q)^m``
-        (m = degree), the y^i coefficient n_i / d becomes
-        n_i * num(q)^i * den(q)^(m - i)."""
-        if len(self.coeffs) < 2:
-            return self
-        den = _denominator(self.coeffs)
-        top = len(self.coeffs) - 1
-        row = _scale_row(_numerators(self.coeffs, den), _scale_factors(q.numerator, q.denominator, top))
-        return _from_numerators(row, den * q.denominator**top)
 
 
 def _denominator(coeffs: Sequence[Fraction]) -> int:
@@ -177,9 +158,6 @@ def _scale_row(row: list[int], factors: list[int]) -> list[int]:
     return [n * f for n, f in zip(row, factors)]
 
 
-ZERO_POLY = Poly()
-
-
 def base_weight(p: Poly) -> int:
     """Superadditive weight on nonzero base polynomials: the y-degree."""
     if p.is_zero():
@@ -212,13 +190,9 @@ class SigmaDelta:
             raise ValueError("d/dy is a derivation only for the identity twist")
         if self.sigma == "scale" and self.q == 0:
             raise ValueError("scale factor must be invertible")
-        # an int q would turn q**k into a float for negative k
+        # the row cores read num(q) and den(q): hold q as a reduced Fraction
+        # whatever rational type it arrives as
         object.__setattr__(self, "q", Fraction(self.q))
-
-    def apply_sigma(self, p: Poly, k: int = 1) -> Poly:
-        if self.sigma == "identity" or k == 0:
-            return p
-        return p.scale_argument(self.q**k)
 
 
 def weyl() -> SigmaDelta:
@@ -294,9 +268,22 @@ def _same_twist(f: OrePoly, g: OrePoly) -> None:
         raise ValueError("operands carry different twist data")
 
 
+def _sigma_power(sd: SigmaDelta, k: int, top: int) -> tuple[list[int], int]:
+    """sigma^k, for any integer k, on rows of y-degree at most ``top``: the
+    factors of :func:`_scale_factors` and the denominator the rows gain.  For
+    a scale twist sigma^k is y -> q^k y, and q^k = (den(q) / num(q))^(-k)
+    when k < 0, so num(q) and den(q) swap; the identity gains nothing."""
+    if sd.sigma == "identity":
+        return [1] * (top + 1), 1
+    num, den = sd.q.numerator, sd.q.denominator
+    if k < 0:
+        num, den, k = den, num, -k
+    return _scale_factors(num**k, den**k, top), den ** (k * top)
+
+
 def _sigma_row(row: list[int], sigma: str, factors: list[int]) -> list[int]:
     """sigma on numerators; a scale twist uses the factors of
-    :func:`_scale_factors`, and the caller's denominator gains den(q)^top."""
+    :func:`_sigma_power`, and the caller's denominator gains den(q)^top."""
     if sigma == "identity":
         return row
     return _scale_row(row, factors)
@@ -327,11 +314,7 @@ def _mul_rows(f: list[list[int]], g: list[list[int]], sd: SigmaDelta) -> tuple[l
     width_f = max(len(a) for a in f)
     width_g = max(len(b) for b in g)
     n_g = len(g)
-    factors: list[int] = []
-    step = 1  # denominator gained by f * x^j per x
-    if sd.sigma == "scale":
-        factors = _scale_factors(sd.q.numerator, sd.q.denominator, width_f - 1)
-        step = sd.q.denominator ** (width_f - 1)
+    factors, step = _sigma_power(sd, 1, width_f - 1)  # step: denominator gained by f * x^j per x
     out = [[0] * (width_f + width_g - 1) for _ in range(len(f) + n_g - 1)]
     f_xj = f  # rows of f * x^j
     for j, b_row in enumerate(g):
@@ -378,9 +361,11 @@ def lambda_skew(f: OrePoly) -> int:
     return len(f.coeffs) - 1 + base_weight(f.leading())
 
 
-def _lambda_rows(rows: list[list[int]]) -> int:
-    """lambda_skew on trimmed numerator rows; -1 for zero."""
-    return len(rows) + len(rows[-1]) - 2 if rows else -1
+def _lambda_rows(rows: list[list[int]], end: int = -1) -> int:
+    """On trimmed numerator rows, the number of rows minus one plus the
+    y-degree of the row at ``end``: lambda_skew for the top row (end -1),
+    lambda_laurent for the bottom row (end 0); -1 for zero."""
+    return len(rows) + len(rows[end]) - 2 if rows else -1
 
 
 def _total_degree(rows: list[list[int]]) -> int:
@@ -391,89 +376,36 @@ def _total_degree(rows: list[list[int]]) -> int:
 def _leading_law_rows(p: list[list[int]], den: int, f: list[list[int]], g: list[list[int]], sd: SigmaDelta) -> bool:
     """The top-coefficient identity lead(f*g) = sigma^l(lead f) * lead g,
     l = deg_x g, for integer rows f and g and the rows ``p`` over ``den`` of
-    their product, compared by cross-multiplication.  sigma^l is the identity
-    or, for a scale twist, y -> q^l y over the denominator den(q)^(l * top)."""
+    their product, compared by cross-multiplication."""
     if len(p) != len(f) + len(g) - 1:
         return False
-    lead, den_lead = f[-1], 1
-    if sd.sigma == "scale":
-        l, top = len(g) - 1, len(lead) - 1
-        lead = _scale_row(lead, _scale_factors(sd.q.numerator**l, sd.q.denominator**l, top))
-        den_lead = sd.q.denominator ** (l * top)
+    factors, den_lead = _sigma_power(sd, len(g) - 1, len(f[-1]) - 1)
+    lead = _scale_row(f[-1], factors)
     return [n * den_lead for n in p[-1]] == [n * den for n in _mul_row(lead, g[-1])]
 
 
 # ---------------------------------------------------------------------------
-# skew Laurent polynomials  f = sum_i x^i a_i,  i in Z
-
-@dataclass(frozen=True, slots=True)
-class LaurentOrePoly:
-    coeffs: tuple[tuple[int, Poly], ...]  # sorted by exponent, nonzero coeffs
-    sd: SigmaDelta
-
-    def __post_init__(self) -> None:
-        if self.sd.delta != "zero":
-            raise ValueError("Laurent twists must have zero derivation")
-        exps = [e for e, _ in self.coeffs]
-        if exps != sorted(exps) or len(set(exps)) != len(exps):
-            raise ValueError("coefficients must be sorted by distinct exponents")
-        if any(c.is_zero() for _, c in self.coeffs):
-            raise ValueError("zero coefficient stored")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def window(self) -> tuple[int, int]:
-        if not self.coeffs:
-            raise ValueError("zero element has no support window")
-        return self.coeffs[0][0], self.coeffs[-1][0]
-
-    def lowest(self) -> Poly:
-        if not self.coeffs:
-            raise ValueError("zero element has no lowest coefficient")
-        return self.coeffs[0][1]
-
-    def is_unit(self) -> bool:
-        # units are scalar multiples of powers of x
-        return len(self.coeffs) == 1 and self.coeffs[0][1].is_unit()
+# skew Laurent polynomials  x^e * sum_i x^i a_i  (delta = 0)
 
 
-def laurent(coeffs: dict[int, Poly], sd: SigmaDelta) -> LaurentOrePoly:
-    items = sorted((e, c) for e, c in coeffs.items() if not c.is_zero())
-    return LaurentOrePoly(tuple(items), sd)
+def _pretwist(rows: list[list[int]], k: int, sd: SigmaDelta) -> tuple[list[list[int]], int]:
+    """Rows of sigma^k(F) for F = sum_i x^i a_i, and the denominator they
+    gain: as a * x^k = x^k * sigma^k(a), x^e F * x^k G = x^(e + k) sigma^k(F) G."""
+    if not k:
+        return rows, 1
+    factors, den = _sigma_power(sd, k, max(len(row) for row in rows) - 1)
+    return [_scale_row(row, factors) for row in rows], den
 
 
-def laurent_mul(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
-    if f.sd != g.sd:
-        raise ValueError("operands carry different twist data")
-    acc: dict[int, Poly] = {}
-    for i, a in f.coeffs:
-        for j, b in g.coeffs:
-            # a * x^j = x^j * sigma^j(a)
-            term = f.sd.apply_sigma(a, j) * b
-            acc[i + j] = acc.get(i + j, ZERO_POLY) + term
-    return laurent(acc, f.sd)
-
-
-def lambda_laurent(f: LaurentOrePoly) -> int:
-    """Support-window width plus y-degree of the lowest coefficient."""
-    if f.is_zero():
-        raise ValueError("length of the zero element is undefined")
-    lo, hi = f.window()
-    return hi - lo + base_weight(f.lowest())
-
-
-def laurent_lowest_law_holds(product: LaurentOrePoly, f: LaurentOrePoly, g: LaurentOrePoly) -> bool:
-    """Lowest-coefficient identity for Laurent products:
-    low(f*g) = sigma^{min-exp g}(low f) * low g."""
-    if f.is_zero() or g.is_zero():
-        return product.is_zero()
-    mg = g.window()[0]
-    expected = f.sd.apply_sigma(f.lowest(), mg) * g.lowest()
-    return (
-        product.window()[0] == f.window()[0] + mg
-        and product.lowest() == expected
-    )
+def _lowest_law_rows(p: list[list[int]], den: int, f: list[list[int]], g: list[list[int]], k: int, sd: SigmaDelta) -> bool:
+    """The lowest-coefficient identity low(f*g) = sigma^k(low f) * low g of a
+    Laurent product, k the lowest x-exponent of g, for the rows of f and g and
+    the rows ``p`` over ``den`` of their product (whose lowest exponent is the
+    sum of theirs).  sigma^k is formed here from the operands, not taken from
+    the product, and compared by cross-multiplication."""
+    factors, den_low = _sigma_power(sd, k, len(f[0]) - 1)
+    low = _scale_row(f[0], factors)
+    return [n * den_low for n in p[0]] == [n * den for n in _mul_row(low, g[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +456,27 @@ def _ore_rows(bits, nonzero: bool = False) -> list[list[int]]:
             return rows
 
 
+def _laurent_rows(bits) -> tuple[int, list[list[int]]]:
+    """A nonzero skew Laurent element as (e, rows): up to 3 :func:`_poly_row`
+    terms at x-exponents drawn from -3..3, terms on one exponent added, then
+    the lowest exponent e and one row per exponent from e up, empty where
+    nothing is left.  A zero element is drawn again."""
+    while True:
+        acc: dict[int, list[int]] = {}
+        for _ in range(_below(bits, 4, 3)):
+            row = _poly_row(bits)
+            if row:
+                e = _below(bits, 7, 3) - 3
+                total = [a + b for a, b in zip_longest(acc.get(e, ()), row, fillvalue=0)]
+                while total and not total[-1]:
+                    total.pop()
+                acc[e] = total
+        exps = [e for e, row in acc.items() if row]
+        if exps:
+            lo = min(exps)
+            return lo, [acc.get(e, []) for e in range(lo, max(exps) + 1)]
+
+
 def _small_poly(row: list[int]) -> Poly:
     return Poly(tuple([_SMALL[n + 4] for n in row]))
 
@@ -538,21 +491,6 @@ def random_ore(rng, sd: SigmaDelta, nonzero: bool = False) -> OrePoly:
     return OrePoly(tuple([_small_poly(row) for row in _ore_rows(rng.getrandbits, nonzero)]), sd)
 
 
-def random_laurent(rng, sd: SigmaDelta, nonzero: bool = False) -> LaurentOrePoly:
-    """Up to 3 :func:`random_poly` terms at x-exponents drawn from -3..3."""
-    bits = rng.getrandbits
-    while True:
-        acc: dict[int, Poly] = {}
-        for _ in range(_below(bits, 4, 3)):
-            row = _poly_row(bits)
-            if row:
-                e = _below(bits, 7, 3) - 3
-                acc[e] = acc.get(e, ZERO_POLY) + _small_poly(row)
-        f = laurent(acc, sd)
-        if not nonzero or not f.is_zero():
-            return f
-
-
 def check_skew_laws(configuration: str, pairs: int, seed: int = 0) -> LawCheckResult:
     """Randomized audit of the right-length drop and the leading-term law.
 
@@ -560,35 +498,35 @@ def check_skew_laws(configuration: str, pairs: int, seed: int = 0) -> LawCheckRe
     the named configuration and counts violations of
     ``lambda(g*h) > lambda(g)`` and of the leading/lowest coefficient law.
     Deterministic for a fixed seed.
+
+    Every configuration runs one loop on integer rows: draw, twist g's rows
+    by sigma^k with k the lowest x-exponent of h (0 for skew polynomials),
+    one :func:`_mul_rows`, the lambda drop, then the law.  The configuration
+    picks only the draw, the end whose row lambda reads (top for
+    lambda_skew, bottom for lambda_laurent) and the law (leading or lowest
+    coefficient).
     """
     import random
 
     kind, sd = parse_config(configuration)
-    rng = random.Random(seed)
-    bits = rng.getrandbits
+    laurent = kind == "laurent"
+    draw = _laurent_rows if laurent else lambda bits: (0, _ore_rows(bits, nonzero=True))
+    end = 0 if laurent else -1
+    bits = random.Random(seed).getrandbits
     right_bad = 0
     law_bad = 0
     for _ in range(pairs):
-        if kind == "poly":
-            g = _ore_rows(bits, nonzero=True)
-            h = _ore_rows(bits, nonzero=True)
-            while len(h) == 1 and len(h[0]) == 1:  # the units are the nonzero scalars
-                h = _ore_rows(bits, nonzero=True)
-            p, den = _mul_rows(g, h, sd)
-            if not _lambda_rows(p) > _lambda_rows(g):
-                right_bad += 1
-            if not _leading_law_rows(p, den, g, h, sd):
-                law_bad += 1
-        else:
-            g = random_laurent(rng, sd, nonzero=True)
-            h = random_laurent(rng, sd, nonzero=True)
-            while h.is_unit():
-                h = random_laurent(rng, sd, nonzero=True)
-            p = laurent_mul(g, h)
-            if not lambda_laurent(p) > lambda_laurent(g):
-                right_bad += 1
-            if not laurent_lowest_law_holds(p, g, h):
-                law_bad += 1
+        _, g = draw(bits)
+        k, h = draw(bits)
+        while len(h) == 1 and len(h[0]) == 1:  # the units: nonzero scalars times a power of x
+            k, h = draw(bits)
+        twisted, den = _pretwist(g, k, sd)
+        p, gained = _mul_rows(twisted, h, sd)
+        den *= gained
+        if not _lambda_rows(p, end) > _lambda_rows(g, end):
+            right_bad += 1
+        if not (_lowest_law_rows(p, den, g, h, k, sd) if laurent else _leading_law_rows(p, den, g, h, sd)):
+            law_bad += 1
     return LawCheckResult(configuration, pairs, right_bad, law_bad)
 
 

@@ -41,7 +41,7 @@ BRANCHES = (
     'atom "a"',  # atom
     'lengths "a b" --cap 5',  # a finite length set
     'alg add "1 * a" "1/2 * b"',
-    'alg deg "0"',  # prints None
+    'alg deg "0"',  # the zero element: -inf
     'alg mul "1/2 * a" "b" --char 7',
     'alg divides "1 * a" "0"',
     "growth --family free --n-max 10 --gnuplot",

@@ -225,3 +225,34 @@ def test_quotients_take_normal_forms_as_words():
             found += (left is not None) + (right is not None)
     # both answers occur, so the comparison is not between two constant Nones
     assert 0 < found < 2 * len(forms) ** 2
+
+
+def _unique_products(left: list[GroupElement], right: list[GroupElement]) -> int:
+    """The number of products x*y (x in left, y in right) that arise from one pair only."""
+    counts: dict[GroupElement, int] = {}
+    for x in left:
+        for y in right:
+            xy = g_mul(x, y)
+            counts[xy] = counts.get(xy, 0) + 1
+    return sum(1 for n in counts.values() if n == 1)
+
+
+def test_supports_multiply_with_two_uniquely_represented_products():
+    # K[M] is a domain, which the additivity of algebra.deg_a and the exact
+    # division of algebra.divides_right rely on: M embeds in
+    # G = F(b, c) x| Z, an extension of a left-orderable group by a
+    # left-orderable group, so G has unique products, and by Strojnowski
+    # (1980) two of them whenever |A| + |B| > 2.  A uniquely represented
+    # product s*t keeps its coefficient in f*g, so f*g != 0.  The products
+    # are formed in the group, apart from the rewriting normalizer.
+    elements = [embed_normal_form(nf) for nf in monoid.enumerate_elements(8)]
+    assert len(elements) == 340
+    rnd = random.Random(14)
+    for _ in range(150):
+        left = rnd.sample(elements, rnd.randint(1, 30))
+        right = rnd.sample(elements, rnd.randint(1, 30))
+        if len(left) + len(right) > 2:
+            assert _unique_products(left, right) >= 2, (left, right)
+    chain = [embed_normal_form(NormalForm(k, (), 2)) for k in range(30)]  # b^k a^2
+    for n in (2, 10, 30):
+        assert _unique_products(chain[:n], chain[:n]) >= 2, n

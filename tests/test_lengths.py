@@ -22,6 +22,15 @@ def free_triples(rnd, count):
     return triples
 
 
+def poly_mul(p: ore.Poly, q: ore.Poly) -> ore.Poly:
+    """Product in Q[y] on plain ``Fraction`` coefficients (nonzero operands)."""
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return ore.Poly(tuple(out))
+
+
 FREE_OPS = dict(multiply=lambda u, v: Word(AB, u.letters + v.letters), equals=lambda u, v: u == v)
 
 
@@ -38,12 +47,12 @@ def test_degree_is_a_length_function_on_polynomials():
     while len(samples) < 80:
         f = ore.random_poly(rnd, nonzero=True)
         g = ore.random_poly(rnd, nonzero=True)
-        samples.append((f * g, f, g))
+        samples.append((poly_mul(f, g), f, g))
     # Q[y] is a domain, so the y-degree is additive on products
     for fg, f, g in samples:
         assert ore.base_weight(fg) == ore.base_weight(f) + ore.base_weight(g)
     spec = LengthFunctionSpec(ore.base_weight, RIGHT, ore.Poly.is_unit)
-    assert check_contract(spec, samples, lambda p, q: p * q, lambda p, q: p == q).ok()
+    assert check_contract(spec, samples, poly_mul, lambda p, q: p == q).ok()
 
 
 def test_zero_function_fails_on_a_nonunit():
@@ -92,11 +101,11 @@ def test_bf_bound_on_polynomials():
     # factorization length respects the bound max L <= deg
     y2m1 = ore.Poly((Fraction(-1), Fraction(0), Fraction(1)))
     factors = (ore.Poly((Fraction(-1), Fraction(1))), ore.Poly((Fraction(1), Fraction(1))))
-    assert factors[0] * factors[1] == y2m1
+    assert poly_mul(*factors) == y2m1
     assert not any(ore.Poly.is_unit(f) for f in factors)
     assert len(factors) <= ore.base_weight(y2m1) == 2
     spec = LengthFunctionSpec(ore.base_weight, RIGHT, ore.Poly.is_unit)
-    assert check_contract(spec, [(y2m1, *factors)], lambda p, q: p * q, lambda p, q: p == q).ok()
+    assert check_contract(spec, [(y2m1, *factors)], poly_mul, lambda p, q: p == q).ok()
 
 
 def test_monoid_has_no_right_length_function():

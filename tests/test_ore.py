@@ -1,29 +1,23 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 import factorlab.ore as ore_module
 from factorlab.ore import (
-    ZERO_POLY,
     LawCheckResult,
-    LaurentOrePoly,
     OrePoly,
     Poly,
     SigmaDelta,
     base_weight,
     check_filtration_additivity,
     check_skew_laws,
-    lambda_laurent,
     lambda_skew,
-    laurent,
-    laurent_lowest_law_holds,
-    laurent_mul,
     ore_from_coeffs,
     ore_mul,
     parse_config,
     quantum_plane,
-    random_laurent,
     random_ore,
     random_poly,
     weyl,
@@ -42,6 +36,7 @@ def _poly(*values) -> Poly:
     return _ref_trim(map(Fraction, values))
 
 
+ZERO_POLY = Poly()
 ONE_POLY = _poly(1)
 Y = _poly(0, 1)
 WEYL = weyl()
@@ -64,7 +59,7 @@ def leading_law_holds(product: OrePoly, f: OrePoly, g: OrePoly) -> bool:
     if f.is_zero() or g.is_zero():
         return product.is_zero()
     l = len(g.coeffs) - 1
-    expected = f.sd.apply_sigma(f.leading(), l) * g.leading()
+    expected = _ref_mul(apply_sigma(f.sd, f.leading(), l), g.leading())
     return len(product.coeffs) == len(f.coeffs) + len(g.coeffs) - 1 and product.leading() == expected
 
 
@@ -80,16 +75,132 @@ def ore_add(f: OrePoly, g: OrePoly) -> OrePoly:
     out = [ZERO_POLY] * n
     for h in (f, g):
         for i, c in enumerate(h.coeffs):
-            out[i] = out[i] + c
+            out[i] = _ref_add(out[i], c)
     return ore_from_coeffs(out, f.sd)
+
+
+def apply_sigma(sd: SigmaDelta, p: Poly, k: int = 1) -> Poly:
+    """Reference sigma^k: y -> q^k y in plain ``Fraction`` arithmetic."""
+    if sd.sigma == "identity":
+        return p
+    return _ref_trim(c * sd.q ** (k * i) for i, c in enumerate(p.coeffs))
+
+
+def _sigma_rows(sd: SigmaDelta, p: Poly, k: int) -> Poly:
+    """sigma^k through the row core ``_sigma_power`` of the product and the laws."""
+    if not p.coeffs:
+        return p
+    den = ore_module._denominator(p.coeffs)
+    factors, gained = ore_module._sigma_power(sd, k, len(p.coeffs) - 1)
+    row = ore_module._scale_row(ore_module._numerators(p.coeffs, den), factors)
+    return ore_module._from_numerators(row, den * gained)
+
+
+def _row_mul(p: Poly, q: Poly) -> Poly:
+    """p * q through the row convolution ``_mul_row`` of the laws."""
+    if not p.coeffs or not q.coeffs:
+        return ZERO_POLY
+    den_p, den_q = ore_module._denominator(p.coeffs), ore_module._denominator(q.coeffs)
+    row = ore_module._mul_row(ore_module._numerators(p.coeffs, den_p), ore_module._numerators(q.coeffs, den_q))
+    return ore_module._from_numerators(row, den_p * den_q)
+
+
+# ---------------------------------------------------------------------------
+# reference skew Laurent layer on plain-Fraction objects, f = sum_i x^i a_i
+# with i in Z: the qtorus audit's object path before it ran on integer rows
+
+
+@dataclass(frozen=True)
+class LaurentOrePoly:
+    coeffs: tuple[tuple[int, Poly], ...]  # sorted by exponent, nonzero coeffs
+    sd: SigmaDelta
+
+    def window(self) -> tuple[int, int]:
+        return self.coeffs[0][0], self.coeffs[-1][0]
+
+    def lowest(self) -> Poly:
+        return self.coeffs[0][1]
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_unit(self) -> bool:
+        # units are scalar multiples of powers of x
+        return len(self.coeffs) == 1 and self.coeffs[0][1].is_unit()
+
+
+def laurent(coeffs: dict[int, Poly], sd: SigmaDelta) -> LaurentOrePoly:
+    return LaurentOrePoly(tuple(sorted((e, c) for e, c in coeffs.items() if not c.is_zero())), sd)
+
+
+def laurent_mul(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
+    acc: dict[int, Poly] = {}
+    for i, a in f.coeffs:
+        for j, b in g.coeffs:
+            # a * x^j = x^j * sigma^j(a)
+            acc[i + j] = _ref_add(acc.get(i + j, ZERO_POLY), _ref_mul(apply_sigma(f.sd, a, j), b))
+    return laurent(acc, f.sd)
 
 
 def laurent_add(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
     """Reference sum for the distributivity tests: add coefficients by exponent."""
     acc = dict(f.coeffs)
     for e, c in g.coeffs:
-        acc[e] = acc.get(e, ZERO_POLY) + c
+        acc[e] = _ref_add(acc.get(e, ZERO_POLY), c)
     return laurent(acc, f.sd)
+
+
+def lambda_laurent(f: LaurentOrePoly) -> int:
+    """Support-window width plus y-degree of the lowest coefficient."""
+    lo, hi = f.window()
+    return hi - lo + base_weight(f.lowest())
+
+
+def laurent_lowest_law_holds(product: LaurentOrePoly, f: LaurentOrePoly, g: LaurentOrePoly) -> bool:
+    """low(f*g) = sigma^{min-exp g}(low f) * low g, with the product's window
+    starting at the sum of the operands' lowest exponents."""
+    mg = g.window()[0]
+    expected = _ref_mul(apply_sigma(f.sd, f.lowest(), mg), g.lowest())
+    return product.window()[0] == f.window()[0] + mg and product.lowest() == expected
+
+
+def random_laurent(rng, sd, nonzero=False):
+    """Up to 3 terms at x-exponents drawn from -3..3 through ``randint``, as
+    the qtorus audit drew them on objects."""
+    while True:
+        acc = {}
+        for _ in range(rng.randint(0, 3)):
+            p = _former_random_poly(rng)
+            if not p.is_zero():
+                e = rng.randint(-3, 3)
+                acc[e] = _ref_add(acc.get(e, ZERO_POLY), p)
+        f = laurent(acc, sd)
+        if not nonzero or not f.is_zero():
+            return f
+
+
+def _laurent_to_rows(f: LaurentOrePoly, den: int = 1) -> tuple[int, list[list[int]]]:
+    """(lowest exponent, numerator rows upward over ``den``) of a nonzero element."""
+    lo, hi = f.window()
+    coeffs = dict(f.coeffs)
+    return lo, [ore_module._numerators(coeffs.get(e, ZERO_POLY).coeffs, den) for e in range(lo, hi + 1)]
+
+
+def _laurent_from_rows(e: int, rows: list[list[int]], den: int, sd: SigmaDelta) -> LaurentOrePoly:
+    return laurent({e + i: ore_module._from_numerators(list(row), den) for i, row in enumerate(rows)}, sd)
+
+
+def row_laurent_mul(f: LaurentOrePoly, g: LaurentOrePoly) -> tuple[LaurentOrePoly, tuple]:
+    """f * g as the qtorus audit forms it, one twist of f's rows by sigma^(min
+    exp g) and then ``_mul_rows``, on operands brought to integer rows over
+    one denominator each; also returns the rows, their denominator and k."""
+    den_f = ore_module._denominator([c for _, a in f.coeffs for c in a.coeffs])
+    den_g = ore_module._denominator([c for _, b in g.coeffs for c in b.coeffs])
+    (e_f, f_rows), (e_g, g_rows) = _laurent_to_rows(f, den_f), _laurent_to_rows(g, den_g)
+    twisted, den = ore_module._pretwist(f_rows, e_g, f.sd)
+    rows, gained = ore_module._mul_rows(twisted, g_rows, f.sd)
+    den *= den_f * den_g * gained
+    return _laurent_from_rows(e_f + e_g, rows, den, f.sd), (rows, den, f_rows, g_rows, e_g)
 
 
 def _reference_mul(f: OrePoly, g: OrePoly) -> OrePoly:
@@ -148,10 +259,13 @@ def _random_fraction_ore(rnd, sd, max_deg_x):
 def test_base_poly_arithmetic():
     p = _poly(1, 2)  # 1 + 2y
     q = _poly(0, 0, 1)  # y^2
-    assert (p * q).coeffs == (0, 0, 1, 2)
-    assert (p + q).coeffs == (1, 2, 1)
+    assert ore_module._mul_row([1, 2], [0, 0, 1]) == [0, 0, 1, 2]
+    assert _row_mul(p, q).coeffs == (0, 0, 1, 2)
     assert _ddy(p) == _poly(2)
-    assert _poly(0, 1, 1).scale_argument(Fraction(2)) == _poly(0, 2, 4)
+    assert _sigma_rows(QPLANE, _poly(0, 1, 1), 1) == _poly(0, 2, 4)
+    assert ore_module._sigma_power(quantum_plane(3), -2, 2) == ([81, 9, 1], 81)
+    assert ore_module._sigma_power(quantum_plane(Fraction(-3, 4)), -1, 2) == ([9, -12, 16], 9)
+    assert ore_module._sigma_power(WEYL, 5, 2) == ([1, 1, 1], 1)
     assert base_weight(_poly(5)) == 0
     with pytest.raises(ValueError):
         base_weight(ZERO_POLY)
@@ -171,8 +285,8 @@ def test_sigma_derivation_law_in_the_weyl_algebra():
     rnd = random.Random(0)
     for _ in range(100):
         p, q = random_poly(rnd), random_poly(rnd)
-        lhs = _ddy(p * q)
-        rhs = WEYL.apply_sigma(p) * _ddy(q) + _ddy(p) * q
+        lhs = _ddy(_ref_mul(p, q))
+        rhs = _ref_add(_ref_mul(_sigma_rows(WEYL, p, 1), _ddy(q)), _ref_mul(_ddy(p), q))
         assert lhs == rhs
 
 
@@ -180,7 +294,8 @@ def test_sigma_preserves_units_and_nonunits():
     rnd = random.Random(1)
     for _ in range(100):
         p = random_poly(rnd, nonzero=True)
-        assert QPLANE.apply_sigma(p).is_unit() == p.is_unit()
+        for k in (-2, 1, 3):
+            assert _sigma_rows(QPLANE, p, k).is_unit() == p.is_unit()
 
 
 def test_weyl_commutation():
@@ -242,42 +357,50 @@ def test_right_length_law_random():
 
 
 def test_laurent_examples():
-    qt = QPLANE
-    assert lambda_laurent(laurent({-1: ONE_POLY, 1: ONE_POLY}, qt)) == 2
-    assert lambda_laurent(laurent({5: ONE_POLY}, qt)) == 0
-    assert lambda_laurent(laurent({-2: Y}, qt)) == 1
-    with pytest.raises(ValueError):
-        lambda_laurent(laurent({}, qt))
-    with pytest.raises(ValueError):
-        LaurentOrePoly(((0, ONE_POLY),), WEYL)  # derivation is not allowed
+    # lambda_laurent on rows reads the bottom row: window width plus its y-degree
+    lam = ore_module._lambda_rows
+    for f, want in (({-1: ONE_POLY, 1: ONE_POLY}, 2), ({5: ONE_POLY}, 0), ({-2: Y}, 1), ({0: Y, 1: _poly(1, 0, 1)}, 2)):
+        element = laurent(f, QPLANE)
+        assert lam(_laurent_to_rows(element)[1], 0) == lambda_laurent(element) == want
+    assert _laurent_to_rows(laurent({-1: ONE_POLY, 1: Y}, QPLANE)) == (-1, [[1], [], [0, 1]])
 
 
 def test_laurent_units():
-    qt = QPLANE
-    assert laurent({5: _poly(3)}, qt).is_unit()
-    assert not laurent({5: Y}, qt).is_unit()
-    assert not laurent({0: ONE_POLY, 1: ONE_POLY}, qt).is_unit()
+    # lambda_laurent does not drop against a unit c x^e (one constant row),
+    # which is why the audit draws h again, and drops against every nonunit
+    g = laurent({-1: Y, 2: ONE_POLY}, QPLANE)
+    lam = ore_module._lambda_rows
+    for h, unit in (({5: _poly(3)}, True), ({-3: _poly(-1)}, True), ({5: Y}, False), ({0: ONE_POLY, 1: ONE_POLY}, False)):
+        h = laurent(h, QPLANE)
+        assert h.is_unit() == unit
+        product, (rows, _, g_rows, _, _) = row_laurent_mul(g, h)
+        assert product == laurent_mul(g, h)
+        assert (lam(rows, 0) > lam(g_rows, 0)) == (not unit)
 
 
 def test_laurent_ring_laws_random():
+    # the audit's row product is associative and distributive, on integer
+    # operands and on the fractional products that q = -3/4 makes
     rnd = random.Random(4)
-    qt = QPLANE
-    for _ in range(150):
-        f, g, h = (random_laurent(rnd, qt) for _ in range(3))
-        assert laurent_mul(laurent_mul(f, g), h) == laurent_mul(f, laurent_mul(g, h))
-        assert laurent_mul(laurent_add(f, g), h) == laurent_add(
-            laurent_mul(f, h), laurent_mul(g, h)
-        )
-    done = 0
-    while done < 200:
-        g = random_laurent(rnd, qt, nonzero=True)
-        h = random_laurent(rnd, qt, nonzero=True)
-        if h.is_unit():
-            continue
-        product = laurent_mul(g, h)
-        assert lambda_laurent(product) > lambda_laurent(g)
-        assert laurent_lowest_law_holds(product, g, h)
-        done += 1
+    for sd in (QPLANE, quantum_plane(Fraction(-3, 4))):
+        mul = lambda f, g: row_laurent_mul(f, g)[0] if not (f.is_zero() or g.is_zero()) else laurent({}, sd)
+        for _ in range(100):
+            f, g, h = (random_laurent(rnd, sd) for _ in range(3))
+            assert mul(mul(f, g), h) == mul(f, mul(g, h)), sd
+            assert mul(laurent_add(f, g), h) == laurent_add(mul(f, h), mul(g, h)), sd
+            assert mul(f, laurent_add(g, h)) == laurent_add(mul(f, g), mul(f, h)), sd
+            assert mul(f, g) == laurent_mul(f, g), sd
+        done = 0
+        while done < 200:
+            g = random_laurent(rnd, sd, nonzero=True)
+            h = random_laurent(rnd, sd, nonzero=True)
+            if h.is_unit():
+                continue
+            product, (rows, den, g_rows, h_rows, k) = row_laurent_mul(g, h)
+            assert ore_module._lambda_rows(rows, 0) > ore_module._lambda_rows(g_rows, 0)
+            assert ore_module._lowest_law_rows(rows, den, g_rows, h_rows, k, sd)
+            assert laurent_lowest_law_holds(product, g, h)
+            done += 1
 
 
 def test_filtration_additivity_random():
@@ -393,17 +516,15 @@ def test_poly_kernel_stays_exact():
         return all(type(c) is Fraction for c in p.coeffs)
 
     p, q = _poly(1, -2, 3), _poly(Fraction(1, 2), 0, 0, 5)
-    assert all(exact(r) for r in (p + q, q + p, p * q, _ddy(p), _ddy(q)))
-    assert exact(p.scale_argument(Fraction(3))) and exact(p.scale_argument(Fraction(3) ** -2))
-    assert p.scale_argument(Fraction(3) ** -2) == _poly(1, Fraction(-2, 9), Fraction(3, 81))
-    assert exact(QPLANE.apply_sigma(q, -3))
-    assert SigmaDelta("scale", "zero", 3).apply_sigma(_poly(1, 1), -1) == _poly(1, Fraction(1, 3))
+    assert all(exact(r) for r in (_row_mul(p, q), _ddy(p), _ddy(q)))
+    assert exact(_sigma_rows(quantum_plane(3), p, 1)) and exact(_sigma_rows(quantum_plane(3), p, -2))
+    assert _sigma_rows(quantum_plane(3), p, -2) == _poly(1, Fraction(-2, 9), Fraction(3, 81))
+    assert exact(_sigma_rows(QPLANE, q, -3))
+    assert _sigma_rows(SigmaDelta("scale", "zero", 3), _poly(1, 1), -1) == _poly(1, Fraction(1, 3))
     rnd = random.Random(12)
     for sd in TWISTS:
         f, g = _dense_ore(rnd, sd, 5), _dense_ore(rnd, sd, 5)
         assert all(exact(c) for c in ore_mul(f, g).coeffs)
-    assert (_poly(1, 1) + _poly(0, -1)).coeffs == (Fraction(1),)
-    assert (_poly(1, 1) + _poly(-1, -1)).is_zero()
 
 
 def _ref_add(p, q):
@@ -435,14 +556,11 @@ def test_poly_kernel_matches_plain_fraction_reference():
     rnd = random.Random(13)
     for _ in range(400):
         p, q = _random_fraction_poly(rnd), _random_fraction_poly(rnd)
-        if p.coeffs and rnd.random() < 0.3:
-            # q ends in minus the top of p, so p + q has trailing zeros to trim
-            q = _poly(*(Fraction(rnd.randint(-1, 1), rnd.randint(1, 12)) for _ in p.coeffs[1:]), -p.coeffs[-1])
-        same(p + q, _ref_add(p, q))
-        same(p * q, _ref_mul(p, q))
+        same(_row_mul(p, q), _ref_mul(p, q))
         same(_ddy(p), _ref_trim(i * c for i, c in enumerate(p.coeffs) if i))
-        s = Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 5), rnd.randint(1, 4)) ** rnd.randint(-3, 3)
-        same(p.scale_argument(s), _ref_trim(c * s**i for i, c in enumerate(p.coeffs)))
+        sd = quantum_plane(Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 5), rnd.randint(1, 4)))
+        k = rnd.randint(-3, 3)
+        same(_sigma_rows(sd, p, k), apply_sigma(sd, p, k))
 
 
 def _former_random_poly(rng, nonzero=False):
@@ -459,29 +577,13 @@ def _former_random_ore(rng, sd, nonzero=False):
             return f
 
 
-def _former_random_laurent(rng, sd, nonzero=False):
-    while True:
-        acc = {}
-        for _ in range(rng.randint(0, 3)):
-            p = _former_random_poly(rng)
-            if not p.is_zero():
-                e = rng.randint(-3, 3)
-                acc[e] = acc.get(e, ZERO_POLY) + p
-        f = laurent(acc, sd)
-        if not nonzero or not f.is_zero():
-            return f
-
-
 def test_random_draws_match_the_former_expression():
     def polys(f):
-        if isinstance(f, Poly):
-            return [f]
-        return [c[1] if isinstance(c, tuple) else c for c in f.coeffs]
+        return [f] if isinstance(f, Poly) else list(f.coeffs)
 
     draws = (
         (random_poly, _former_random_poly, ()),
         (random_ore, _former_random_ore, (WEYL,)),
-        (random_laurent, _former_random_laurent, (QPLANE,)),
     )
     for draw, former, args in draws:
         for nonzero in (False, True):
@@ -550,10 +652,10 @@ def _former_check_skew_laws(configuration, pairs, seed):
             right_bad += not lambda_skew(p) > lambda_skew(g)
             law_bad += not leading_law_holds(p, g, h)
         else:
-            g = _former_random_laurent(rng, sd, nonzero=True)
-            h = _former_random_laurent(rng, sd, nonzero=True)
+            g = random_laurent(rng, sd, nonzero=True)
+            h = random_laurent(rng, sd, nonzero=True)
             while h.is_unit():
-                h = _former_random_laurent(rng, sd, nonzero=True)
+                h = random_laurent(rng, sd, nonzero=True)
             p = laurent_mul(g, h)
             right_bad += not lambda_laurent(p) > lambda_laurent(g)
             law_bad += not laurent_lowest_law_holds(p, g, h)
@@ -572,6 +674,8 @@ def _former_check_filtration_additivity(pairs, seed):
 
 
 ROW_AUDIT_CONFIGS = ("weyl", "qplane:q=2", "qplane:q=3", "qplane:q=-3/4", "qplane:q=1/5")
+QTORUS_Q = (3, Fraction(-3, 4), 1, 2, -1)
+QTORUS_CONFIGS = tuple(f"qtorus:q={q}" for q in QTORUS_Q)
 
 
 def test_audits_match_the_former_bodies():
@@ -628,10 +732,57 @@ def test_row_audits_build_no_objects(monkeypatch):
         result = audit(*args)
         return made, result
 
-    for config in ROW_AUDIT_CONFIGS:
+    for config in ROW_AUDIT_CONFIGS + QTORUS_CONFIGS:
         few, _ = fractions_made(check_skew_laws, config, 5, 18)
         many, result = fractions_made(check_skew_laws, config, 400, 18)
         assert few == many and result.ok(), config
     few, _ = fractions_made(check_filtration_additivity, 5, 18)
     many, result = fractions_made(check_filtration_additivity, 400, 18)
     assert few == many and result == (400, 0)
+
+
+def test_qtorus_rows_match_object_references_pair_by_pair():
+    # the qtorus audit's draw, product, lengths and law on integer rows
+    # against the plain-Fraction object layer it replaced: the same operands,
+    # the same generator state, the same product, lambda and law verdict
+    verdicts = set()
+    for q in QTORUS_Q:
+        sd = quantum_plane(q)
+        inverse = quantum_plane(1 / Fraction(q))  # its sigma^k is sigma^(-k)
+        for seed in range(4):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                (k_g, g), (k_h, h) = (ore_module._laurent_rows(ours.getrandbits) for _ in range(2))
+                g_ref, h_ref = (random_laurent(theirs, sd, nonzero=True) for _ in range(2))
+                assert ours.getstate() == theirs.getstate(), (q, seed)
+                assert (k_g, g) == _laurent_to_rows(g_ref) and (k_h, h) == _laurent_to_rows(h_ref)
+                twisted, den = ore_module._pretwist(g, k_h, sd)
+                p, gained = ore_module._mul_rows(twisted, h, sd)
+                den *= gained
+                product = laurent_mul(g_ref, h_ref)
+                assert _laurent_from_rows(k_g + k_h, p, den, sd) == product
+                assert ore_module._lambda_rows(p, 0) == lambda_laurent(product)
+                assert ore_module._lambda_rows(g, 0) == lambda_laurent(g_ref)
+                law = ore_module._lowest_law_rows(p, den, g, h, k_h, sd)
+                assert law == laurent_lowest_law_holds(product, g_ref, h_ref)
+                # the product of the inverse twist breaks the law whenever
+                # sigma^k moves low g, so both verdicts occur
+                twisted, den = ore_module._pretwist(g, k_h, inverse)
+                wrong, gained = ore_module._mul_rows(twisted, h, inverse)
+                wrong_product = laurent_mul(laurent(dict(g_ref.coeffs), inverse), laurent(dict(h_ref.coeffs), inverse))
+                verdict = ore_module._lowest_law_rows(wrong, den * gained, g, h, k_h, sd)
+                assert verdict == laurent_lowest_law_holds(wrong_product, g_ref, h_ref)
+                verdicts.add(verdict)
+            config = f"qtorus:q={q}"
+            assert check_skew_laws(config, 100, seed) == _former_check_skew_laws(config, 100, seed), (config, seed)
+    assert verdicts == {True, False}
+
+
+def test_qtorus_audit_counts_a_flipped_twist_in_the_product(monkeypatch):
+    # the lowest law forms sigma^k from the operands, so a product twisted by
+    # sigma^(-k) instead is counted; sigma is the identity at q = 1
+    pretwist = ore_module._pretwist
+    monkeypatch.setattr(ore_module, "_pretwist", lambda rows, k, sd: pretwist(rows, -k, sd))
+    for config in ("qtorus:q=3", "qtorus:q=-3/4", "qtorus:q=2"):
+        assert check_skew_laws(config, 300, seed=1).leading_law_violations > 0, config
+    assert check_skew_laws("qtorus:q=1", 300, seed=1).ok()

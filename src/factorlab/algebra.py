@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from . import monoid
-from .groups import NormalForm, left_quotient
+from .groups import ALPHABET, NormalForm, left_quotient
 
 Scalar = Union[Fraction, int]
 
@@ -252,7 +252,10 @@ def divides_right(f: AlgebraElement, g: AlgebraElement, search_cap: int = 6) -> 
     """Probe whether g lies in f * (algebra): bounded but certified.
 
     ``yes`` returns a cofactor h with f*h = g, re-verified by multiplication;
-    a failed re-check raises :class:`monoid.ChainVerificationError`.
+    a failed re-check raises :class:`monoid.ChainVerificationError`.  That h
+    is the only one: f*h = f*h' gives f*(h - h') = 0, and K[M] is a domain
+    (see :func:`deg_a`, and
+    ``tests/test_groups.py::test_supports_multiply_with_two_uniquely_represented_products``).
     ``no`` is only returned with a proof: either the a-degree obstruction
     (deg_a is additive and deg_a(f) > deg_a(g)), or, when both sides are
     scalar multiples of single monoid elements, failure of the exact monoid
@@ -282,7 +285,7 @@ def divides_right(f: AlgebraElement, g: AlgebraElement, search_cap: int = 6) -> 
         return DivisionResult("no")
     if f.is_monomial() and g.is_monomial():
         (s, cs), (t, ct) = f.terms[0], g.terms[0]
-        v = left_quotient(s.word(), t.word())
+        v = left_quotient(s, t)
         if v is None:
             return DivisionResult("no")
         h = monomial(f.field, v, f.field.mul(ct, f.field.inv(cs)))
@@ -325,6 +328,6 @@ def parse_element(text: str, field: Field) -> AlgebraElement:
             coeff, word_text = field.one, part
         from .words import parse_word  # local import to keep module deps one-way
 
-        nf = monoid.normalize(parse_word(word_text.strip(), monoid.ALPHABET))
+        nf = monoid.normalize(parse_word(word_text.strip(), ALPHABET))
         items.append((nf, coeff))
     return from_terms(field, items)

@@ -27,7 +27,7 @@ def _emit(args, payload: dict[str, Any], text_lines: list[str]) -> None:
 
 
 def _word(text: str):
-    return parse_word(text, monoid.ALPHABET)
+    return parse_word(text, groups.ALPHABET)
 
 
 def cmd_normalize(args) -> int:

@@ -9,7 +9,9 @@ pairs ``(free word, a-exponent)`` with the product
 
 so conjugation identities ``a b a^{-1} = c`` and ``a c a^{-1} = b^{-1}`` hold.
 Equality of monoid words is decided for free by this embedding, giving an
-oracle that is independent of the rewriting-based normalizer.  The inverse
+oracle that is independent of the rewriting-based normalizer.  Words and
+canonical forms both embed through :func:`embed_runs`, one free-group run
+per b-run, so the cost is O(runs) whatever the exponents.  The inverse
 direction, :func:`parse_membership`, reads a canonical parameter tuple back
 off a reduced group element, or reports that the element lies outside the
 monoid; exact left and right division in the monoid follow.
@@ -17,13 +19,14 @@ monoid; exact left and right division in the monoid follow.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .words import Alphabet, Word
+from .words import Word
 
-#: Alphabet of the two-relator monoid; every word the oracle accepts uses it.
-ALPHABET = Alphabet.from_names(("a", "b"))
+#: Generators of the two-relator monoid; every word the oracle accepts uses them.
+ALPHABET = ("a", "b")
 
 # Orbit of b under the twist, as (letter, sign) for exponent classes 0..3.
 _CYCLE = (("b", 1), ("c", 1), ("b", -1), ("c", -1))
@@ -121,23 +124,29 @@ def g_inv(x: GroupElement) -> GroupElement:
     return GroupElement(alpha(fw_inv(x.free), -x.shift), -x.shift)
 
 
-def embed_letters(letters: Iterable[str]) -> GroupElement:
-    """Monoid homomorphism: a -> (e, 1), b -> (b, 0), letter by letter."""
+def embed_runs(runs: Iterable[tuple[str, int]]) -> GroupElement:
+    """Monoid homomorphism a -> (e, 1), b -> (b, 0), in O(runs): ``a^n`` adds
+    n to the a-exponent t, and ``b^m`` pushes the signed letter
+    ``_CYCLE[t % 4]`` to the power m."""
     stack: list[list] = []
     t = 0
-    for ch in letters:
-        if ch == "a":
-            t += 1
-        elif ch == "b":
-            letter, sign = _CYCLE[t % 4]
-            _push_run(stack, letter, sign)
+    for letter, exp in runs:
+        if letter == "a":
+            t += exp
+        elif letter == "b":
+            free_letter, sign = _CYCLE[t % 4]
+            _push_run(stack, free_letter, sign * exp)
         else:
-            raise ValueError(f"embedding is defined on letters a, b only: {ch!r}")
+            raise ValueError(f"embedding is defined on letters a, b only: {letter!r}")
     return GroupElement(_freeze(stack), t)
 
 
+def embed_letters(letters: Iterable[str]) -> GroupElement:
+    return embed_runs((letter, len(list(run))) for letter, run in itertools.groupby(letters))
+
+
 def embed(w: Word) -> GroupElement:
-    return embed_letters(w.letters)
+    return embed_runs(w.runs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,16 +177,21 @@ class NormalForm:
         if self.blocks and self.blocks[0][0] == 2 and self.head_b != 0:
             raise ValueError("a first a-run of 2 forces an empty leading b-power")
 
-    def letters(self) -> tuple[str, ...]:
-        out = ["b"] * self.head_b
+    @property
+    def runs(self) -> tuple[tuple[str, int], ...]:
+        """The maximal runs ``(letter, exponent)`` of the canonical word."""
+        runs = [("b", self.head_b)] if self.head_b else []
         for a_run, b_run in self.blocks:
-            out.extend(["a"] * a_run)
-            out.extend(["b"] * b_run)
-        out.extend(["a"] * self.tail_a)
-        return tuple(out)
+            runs += [("a", a_run), ("b", b_run)]
+        if self.tail_a:
+            runs.append(("a", self.tail_a))
+        return tuple(runs)
+
+    def letters(self) -> tuple[str, ...]:
+        return tuple("".join(letter * exp for letter, exp in self.runs))
 
     def word(self) -> Word:
-        return Word(ALPHABET, self.letters())
+        return Word(ALPHABET, self.runs)
 
     @property
     def length(self) -> int:
@@ -194,34 +208,20 @@ class NormalForm:
     def is_identity(self) -> bool:
         return self.length == 0
 
-    def shortlex_key(self) -> tuple[int, tuple[str, ...]]:
-        return (self.length, self.letters())
+    def shortlex_key(self) -> tuple[int, tuple[int, ...]]:
+        """Orders forms as ``(length, letters())`` does, in O(runs): at equal
+        lengths the first differing run decides, where a longer a-run comes
+        first, an a-run before a b-run, and a shorter b-run first; so ``a^n``
+        keys as -n and ``b^m`` as m."""
+        return (self.length, tuple([exp if letter == "b" else -exp for letter, exp in self.runs]))
 
     def display(self) -> str:
         """Exponent-explicit canonical word, e.g. ``b^2 a^3 b^1 a^2``; ``e`` if empty."""
-        runs = [("b", self.head_b)]
-        for a_run, b_run in self.blocks:
-            runs += [("a", a_run), ("b", b_run)]
-        runs.append(("a", self.tail_a))
-        return " ".join(f"{ch}^{n}" for ch, n in runs if n) or "e"
+        return " ".join(f"{letter}^{exp}" for letter, exp in self.runs) or "e"
 
 
 def embed_normal_form(nf: NormalForm) -> GroupElement:
-    """The embedding of ``nf``, one free-group run per run of its word.
-
-    ``b^head_b`` is the run ``b^head_b``, and the block ``a^n b^m`` whose
-    a-runs up to and including it add up to ``t`` is the run of the signed
-    letter ``_CYCLE[t % 4]`` to the power ``m``.  This equals
-    ``embed_letters(nf.letters())`` and costs O(runs), not O(length).
-    """
-    stack: list[list] = []
-    _push_run(stack, "b", nf.head_b)
-    t = 0
-    for a_run, b_run in nf.blocks:
-        t += a_run
-        letter, sign = _CYCLE[t % 4]
-        _push_run(stack, letter, sign * b_run)
-    return GroupElement(_freeze(stack), t + nf.tail_a)
+    return embed_runs(nf.runs)
 
 
 def parse_membership(g: GroupElement) -> Optional[NormalForm]:
@@ -261,28 +261,21 @@ def parse_membership(g: GroupElement) -> Optional[NormalForm]:
     return NormalForm(head_b, tuple(blocks), residual)
 
 
-def _embed(x: Word | NormalForm) -> GroupElement:
-    """A word letter by letter, a canonical form run by run."""
-    if isinstance(x, NormalForm):
-        return embed_normal_form(x)
-    return embed(x)
-
-
 def left_quotient(u: Word | NormalForm, x: Word | NormalForm) -> Optional[NormalForm]:
     """Canonical v with x = u * v in the monoid, or None if u does not
     left-divide x.
 
-    Each argument may be a word or a canonical form.  On two canonical forms
-    the cost is O(runs): nothing is expanded into letters.
+    Each argument may be a word or a canonical form; both embed run by run,
+    so the cost is O(runs) and nothing is expanded into letters.
     """
-    return parse_membership(g_mul(g_inv(_embed(u)), _embed(x)))
+    return parse_membership(g_mul(g_inv(embed_runs(u.runs)), embed_runs(x.runs)))
 
 
 def right_quotient(x: Word | NormalForm, v: Word | NormalForm) -> Optional[NormalForm]:
     """Canonical u with x = u * v in the monoid, or None if v does not
     right-divide x.
 
-    Each argument may be a word or a canonical form.  On two canonical forms
-    the cost is O(runs): nothing is expanded into letters.
+    Each argument may be a word or a canonical form; both embed run by run,
+    so the cost is O(runs) and nothing is expanded into letters.
     """
-    return parse_membership(g_mul(_embed(x), g_inv(_embed(v))))
+    return parse_membership(g_mul(embed_runs(x.runs), g_inv(embed_runs(v.runs))))

@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional
 
-from . import monoid
-from .words import Alphabet, Word, enumerate_words
+from . import groups
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -90,24 +89,26 @@ def _table_from_counts(frame: str, counts: Iterator[int], n_max: int, budget: in
 
 
 def table_from_words(
-    alphabet: Alphabet,
-    canonical_key: Callable[[Word], Hashable],
+    alphabet: tuple[str, ...],
+    canonical_key: Callable[[tuple[str, ...]], Hashable],
     n_max: int,
     frame: str,
     budget: int = DEFAULT_BUDGET,
 ) -> GrowthTable:
     """Count distinct canonical keys of words of length <= n, for each n.
 
-    Enumerating in shortlex order makes the first word that produces a key a
-    minimal-length representative, so bucketing by first-hit length yields
-    dim V^n without any search.
+    The words are letter tuples over ``alphabet``.  Enumerating them in
+    shortlex order makes the first word that produces a key a minimal-length
+    representative, so bucketing by first-hit length yields dim V^n without
+    any search.
     """
     _check_bounds(n_max, budget)
     new_at_length = [0] * (n_max + 1)
     seen: set[Hashable] = set()
     visited = 0
     truncated_at: Optional[int] = None
-    for w in enumerate_words(alphabet, n_max):
+    words = (w for n in range(n_max + 1) for w in itertools.product(alphabet, repeat=n))
+    for w in words:
         visited += 1
         if visited > budget:
             truncated_at = len(w)
@@ -170,11 +171,9 @@ def builtin_table(family: str, n_max: int, budget: int = DEFAULT_BUDGET) -> Grow
 def two_relator_table_by_oracle(n_max: int) -> GrowthTable:
     """Independent recomputation of the two-relator table: enumerate words and
     deduplicate by the group embedding instead of by parameter tuples."""
-    from . import groups
-
     return table_from_words(
-        monoid.ALPHABET,
-        lambda w: groups.embed(w),
+        groups.ALPHABET,
+        groups.embed_letters,
         n_max,
         "two-relator monoid frame {1, a, b} (oracle dedup)",
     )

@@ -19,14 +19,11 @@ path calls into the other.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .groups import ALPHABET, NormalForm, left_quotient, right_quotient
+from .groups import NormalForm, left_quotient, right_quotient
 from .words import MAX_LETTERS, Word
-
-B = Word(ALPHABET, ("b",))
 
 
 class ChainVerificationError(RuntimeError):
@@ -45,7 +42,7 @@ def _merge_runs(runs: list[list]) -> list[list]:
     return merged
 
 
-def _reduce_runs(runs: list[list]) -> list[list]:
+def _reduce_runs(runs) -> list[list]:
     """Reduce a run-length encoded word over {a, b} to its canonical runs.
 
     Terminates because cancelling strictly shortens the word while shifting
@@ -77,7 +74,10 @@ def _reduce_runs(runs: list[list]) -> list[list]:
             return runs
 
 
-def _runs_to_normal_form(runs: list[list]) -> NormalForm:
+def _normal_form(runs) -> NormalForm:
+    """Canonical form of a sequence of runs ``(letter, exponent)``: reduce
+    the runs with the oriented relations, read off the parameter tuple."""
+    runs = _reduce_runs(runs)
     head_b = 0
     idx = 0
     if runs and runs[0][0] == "b":
@@ -96,20 +96,14 @@ def _runs_to_normal_form(runs: list[list]) -> NormalForm:
     return NormalForm(head_b, tuple(blocks), tail_a)
 
 
-def _normal_form(letters) -> NormalForm:
-    """Canonical form of a letter sequence: group it into runs, reduce the
-    runs with the oriented relations, read off the parameter tuple."""
-    return _runs_to_normal_form(_reduce_runs([[ch, len(list(g))] for ch, g in itertools.groupby(letters)]))
-
-
 def normalize(w: Word) -> NormalForm:
     """Canonical form of a word, computed purely by rewriting."""
-    return _normal_form(w.letters)
+    return _normal_form(w.runs)
 
 
 def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
     """Product in the monoid, as canonical forms."""
-    return _normal_form(x.letters() + y.letters())
+    return _normal_form(x.runs + y.runs)
 
 
 def enumerate_elements(max_len: int, max_a: Optional[int] = None) -> Iterator[NormalForm]:
@@ -166,13 +160,13 @@ def is_atom(x: NormalForm) -> AtomVerdict:
     any element with a canonical word of length >= 2 splits after its first
     letter into two nonunits.
     """
-    letters = x.letters()
-    if not letters:
+    if x.length == 0:
         return AtomVerdict("unit")
-    if len(letters) == 1:
+    if x.length == 1:
         return AtomVerdict("atom")
-    left = _normal_form(letters[:1])
-    right = _normal_form(letters[1:])
+    (letter, exp), *rest = x.runs
+    left = _normal_form([(letter, 1)])
+    right = _normal_form([(letter, exp - 1), *rest])
     return AtomVerdict("composite", (left, right))
 
 
@@ -245,15 +239,15 @@ def verify_accp_failure(depth: int) -> AccpWitness:
     :class:`ChainVerificationError`; with a correct oracle it never fires.
 
     The elements come from the rewriting normalizer and the divisions from
-    the group embedding, which takes the canonical forms run by run, so each
-    division costs O(1) group work at any k.  The cofactor is also checked by
-    multiplying back with the rewriting normalizer.
+    the group embedding, and the cofactor is checked by multiplying back
+    with the rewriting normalizer.  Both read the canonical forms run by
+    run, so each step costs O(1) at any k.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    cofactor_b = normalize(B)
+    cofactor_b = _normal_form([("b", 1)])
     chain: list[tuple[NormalForm, NormalForm]] = []
-    elements = [_normal_form(("b",) * k + ("a", "a")) for k in range(depth + 1)]
+    elements = [_normal_form([("b", k), ("a", 2)]) for k in range(depth + 1)]
     for k in range(depth):
         g_k, g_next = elements[k], elements[k + 1]
         inclusion = left_quotient(g_next, g_k)
@@ -319,12 +313,12 @@ def right_length_refutation_triples(bound: int) -> list[tuple[NormalForm, Normal
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    aa = _normal_form(("a", "a"))
+    aa = _normal_form([("a", 2)])
     triples = []
     for n in range(1, bound + 1):
         b_n = NormalForm(n, (), 0)
         b_prev = NormalForm(n - 1, (), 0)
-        bn_aa = _normal_form(("b",) * n + ("a", "a"))
+        bn_aa = _normal_form([("b", n), ("a", 2)])
         triples.append((b_n, b_prev, NormalForm(1, (), 0)))
         triples.append((bn_aa, b_n, aa))
         triples.append((aa, bn_aa, b_n))

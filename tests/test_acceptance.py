@@ -8,7 +8,7 @@ import time
 
 from factorlab import groups, growth, monoid, ore, pi_matrix
 from factorlab.groups import NormalForm
-from factorlab.words import enumerate_words
+from word_reference import enumerate_words
 
 
 def _criterion(number: int, description: str, ok: bool) -> None:
@@ -21,7 +21,7 @@ def test_criterion_01_oracle_equivalence():
     by_normal_form = {}
     by_embedding = {}
     words = 0
-    for word in enumerate_words(monoid.ALPHABET, 10):
+    for word in enumerate_words(groups.ALPHABET, 10):
         words += 1
         by_normal_form.setdefault(monoid.normalize(word), []).append(word.letters)
         by_embedding.setdefault(groups.embed(word), []).append(word.letters)

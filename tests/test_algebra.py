@@ -19,7 +19,7 @@ from factorlab.algebra import (
     zero,
     _solve_exact,
 )
-from factorlab.groups import NormalForm, left_quotient
+from factorlab.groups import ALPHABET, NormalForm, left_quotient
 from factorlab.monoid import enumerate_elements, normalize
 from factorlab.words import parse_word
 
@@ -31,7 +31,7 @@ def elem(text, field=Q):
 
 
 def nf(text):
-    return normalize(parse_word(text, monoid.ALPHABET))
+    return normalize(parse_word(text, ALPHABET))
 
 
 def random_element(rnd, field, pool, max_terms=3):

@@ -31,6 +31,10 @@ SLACK = 0.15
 #: row -> (declared exponent, sizes)
 ROWS = {
     "monoid.normalize((b a a)^k)": (3, (25, 50, 100)),
+    "monoid.multiply((a^3 b)^k a, (a b)^2k)": (3, (8, 16, 32)),
+    "monoid.normalize(parse_word(b^k a^2 b^k))": (0, (10**3, 10**4, 10**5)),
+    "groups.left_quotient(b^k, b^k a^2 b^3)": (0, (10**3, 10**4, 10**5)),
+    "monoid.divisible_by_all_b_powers(b^3, probe)": (1, (50, 100, 200)),
     "monoid.verify_accp_failure(depth)": (1, (50, 100, 200)),
     "pi_matrix.peel_chain(demo_matrix(), steps)": (1, (50, 100, 200)),
     "ore.check_skew_laws(weyl, pairs)": (1, (100, 200, 400)),
@@ -42,13 +46,22 @@ ROWS = {
 def _operations():
     """row -> a function of the size that returns the operation to count,
     with its input built outside the count."""
-    from factorlab import monoid, ore, pi_matrix
-    from factorlab.groups import ALPHABET
-    from factorlab.words import Word
+    from factorlab import groups, monoid, ore, pi_matrix
+    from factorlab.groups import ALPHABET, NormalForm
+    from factorlab.words import parse_word
 
     def normalize(k):
-        word = Word(ALPHABET, ("b", "a", "a") * k)
+        word = parse_word(" ".join(["b a^2"] * k), ALPHABET)
         return lambda: monoid.normalize(word)
+
+    def multiply(k):
+        # the junction b a a b cancels, and the cancellations cascade
+        x, y = NormalForm(0, ((3, 1),) * k, 1), NormalForm(0, ((1, 1),) * (2 * k), 0)
+        return lambda: monoid.multiply(x, y)
+
+    def left_quotient(k):
+        u, x = parse_word(f"b^{k}", ALPHABET), parse_word(f"b^{k} a^2 b^3", ALPHABET)
+        return lambda: groups.left_quotient(u, x)
 
     def peel(steps):
         m = pi_matrix.demo_matrix()
@@ -59,6 +72,14 @@ def _operations():
 
     return {
         "monoid.normalize((b a a)^k)": normalize,
+        "monoid.multiply((a^3 b)^k a, (a b)^2k)": multiply,
+        "monoid.normalize(parse_word(b^k a^2 b^k))": lambda k: lambda: monoid.normalize(
+            parse_word(f"b^{k} a^2 b^{k}", ALPHABET)
+        ),
+        "groups.left_quotient(b^k, b^k a^2 b^3)": left_quotient,
+        "monoid.divisible_by_all_b_powers(b^3, probe)": lambda probe: lambda: monoid.divisible_by_all_b_powers(
+            NormalForm(3, (), 0), probe
+        ),
         "monoid.verify_accp_failure(depth)": lambda depth: lambda: monoid.verify_accp_failure(depth),
         "pi_matrix.peel_chain(demo_matrix(), steps)": peel,
         "ore.check_skew_laws(weyl, pairs)": audit("weyl"),

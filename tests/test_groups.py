@@ -24,7 +24,8 @@ from factorlab.groups import (
     parse_membership,
     right_quotient,
 )
-from factorlab.words import Word, enumerate_words, parse_word
+from factorlab.words import Word, parse_word
+from word_reference import embed_by_letters, enumerate_words, word_of
 
 
 def w(text: str) -> Word:
@@ -97,6 +98,7 @@ def test_embed_examples():
 @given(letter_lists, letter_lists)
 def test_embed_is_a_homomorphism(u, v):
     assert embed_letters(u + v) == g_mul(embed_letters(u), embed_letters(v))
+    assert embed_letters(u) == embed_by_letters(u)
 
 
 def test_parse_membership_powers_of_a():
@@ -148,8 +150,7 @@ def test_right_quotient_examples():
 
 @given(letter_lists, letter_lists)
 def test_division_soundness(u_letters, v_letters):
-    u, v = Word(ALPHABET, tuple(u_letters)), Word(ALPHABET, tuple(v_letters))
-    x = Word(ALPHABET, u.letters + v.letters)
+    u, v, x = word_of(u_letters), word_of(v_letters), word_of(u_letters + v_letters)
     cofactor = left_quotient(u, x)
     assert cofactor is not None
     assert monoid.multiply(monoid.normalize(u), cofactor) == monoid.normalize(x)
@@ -191,7 +192,7 @@ def test_embed_normal_form_matches_letters_up_to_12():
     forms = list(monoid.enumerate_elements(12))
     assert len(forms) == 3314
     for nf in forms:
-        assert embed_normal_form(nf) == embed_letters(nf.letters())
+        assert embed_normal_form(nf) == embed_by_letters(nf.letters())
 
 
 def _random_normal_form(rnd, top):
@@ -209,7 +210,7 @@ def test_embed_normal_form_matches_letters_on_long_runs():
     forms = [NormalForm(top, ((3, top), (1, top)), top), NormalForm(0, ((2, top), (3, 1)), top)]
     forms += [_random_normal_form(rnd, top) for _ in range(6)]
     for nf in forms:
-        assert embed_normal_form(nf) == embed_letters(nf.letters())
+        assert embed_normal_form(nf) == embed_by_letters(nf.letters())
 
 
 def test_quotients_take_normal_forms_as_words():

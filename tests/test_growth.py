@@ -12,6 +12,7 @@ from factorlab.growth import (
     table_from_words,
     two_relator_table_by_oracle,
 )
+from word_reference import word_of
 
 
 def test_free_monoid_table_matches_closed_form():
@@ -39,7 +40,7 @@ def test_two_relator_tables_agree_up_to_10():
 def test_word_table_with_normalizer_key():
     # a third computation of the same dimensions, keyed by the rewriting
     # normalizer instead of the group embedding
-    table = table_from_words(ALPHABET, monoid.normalize, 8, "two-relator")
+    table = table_from_words(ALPHABET, lambda letters: monoid.normalize(word_of(letters)), 8, "two-relator")
     assert table.entries == builtin_table("two-relator", 8).entries
 
 
@@ -101,7 +102,7 @@ def _enumerated_table(family, n_max, budget, two_relator_lengths):
     produced: words for ``free``, canonical tuples (given by their lengths in
     shortlex order) for ``two-relator``, exponent pairs for ``free-commutative``."""
     if family == "free":
-        table = table_from_words(ALPHABET, lambda w: w.letters, n_max, "free", budget)
+        table = table_from_words(ALPHABET, lambda letters: letters, n_max, "free", budget)
         return table.entries, table.truncated_at
     if family == "two-relator":
         lengths = itertools.takewhile(lambda n: n <= n_max, two_relator_lengths)

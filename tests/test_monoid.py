@@ -3,9 +3,8 @@ import random
 import pytest
 
 from factorlab import groups
-from factorlab.groups import NormalForm
+from factorlab.groups import ALPHABET, NormalForm
 from factorlab.monoid import (
-    ALPHABET,
     CANDIDATE_LENGTH_FUNCTIONS,
     divisible_by_all_b_powers,
     enumerate_elements,
@@ -17,7 +16,8 @@ from factorlab.monoid import (
     right_length_refutation_triples,
     verify_accp_failure,
 )
-from factorlab.words import MAX_LETTERS, enumerate_words, parse_word
+from factorlab.words import MAX_LETTERS, parse_word
+from word_reference import enumerate_words
 
 
 def w(text):
@@ -108,6 +108,7 @@ def test_enumerate_elements_matches_word_classes():
         forms = list(enumerate_elements(cap))
         assert len(forms) == len(set(forms)) == len(classes)
         assert set(forms) == classes
+        assert forms == sorted(forms, key=lambda x: (x.length, x.letters()))
 
 
 def test_enumerate_elements_a_count_bound_matches_filtering():
@@ -253,26 +254,17 @@ def test_divisible_by_all_b_powers_probe_reported():
 
 
 def _count_group_work(monkeypatch):
-    """Count free-group run pushes and letter-by-letter embeddings."""
-    counts = {"push": 0, "letters": 0}
-    push_run, embed_letters = groups._push_run, groups.embed_letters
+    """Count free-group run pushes; a letter-by-letter embedding of b^k
+    would push k times."""
+    counts = {"push": 0}
+    push_run = groups._push_run
 
     def counting_push(stack, letter, exp):
         counts["push"] += 1
         push_run(stack, letter, exp)
 
-    def counting_letters(letters):
-        counts["letters"] += 1
-        return embed_letters(letters)
-
     monkeypatch.setattr(groups, "_push_run", counting_push)
-    monkeypatch.setattr(groups, "embed_letters", counting_letters)
     return counts
-
-
-def _runs(x):
-    """Number of letter runs in the canonical word of x."""
-    return 2 * len(x.blocks) + (x.head_b > 0) + (x.tail_a > 0)
 
 
 def test_accp_group_work_is_linear_in_depth(monkeypatch):
@@ -280,10 +272,9 @@ def test_accp_group_work_is_linear_in_depth(monkeypatch):
     # number of pushes, never a re-embedding of b^k a^2 letter by letter
     counts = _count_group_work(monkeypatch)
     for depth in (50, 100, 200):
-        counts.update(push=0, letters=0)
+        counts.update(push=0)
         assert verify_accp_failure(depth).depth == depth
         assert 0 < counts["push"] <= 6 * depth
-        assert counts["letters"] == 0
 
 
 def test_b_power_probe_group_work_is_linear(monkeypatch):
@@ -291,10 +282,9 @@ def test_b_power_probe_group_work_is_linear(monkeypatch):
     for k in (50, 100, 200):
         results = []
         for x in (NormalForm(0, ((2, k),), 0), NormalForm(k, (), 0), NormalForm(k, ((3, k), (1, 2)), 5)):
-            counts.update(push=0, letters=0)
+            counts.update(push=0)
             results.append(divisible_by_all_b_powers(x))
-            assert counts["push"] <= 6 * (results[-1].probe + 1) * _runs(x)
-            assert counts["letters"] == 0
+            assert counts["push"] <= 6 * (results[-1].probe + 1) * len(x.runs)
         # a^2 b^k finds its witness after k + 1 probes; b^k runs both loops
         assert results[0].forever and results[0].exponent == k
         assert not results[1].forever and results[1].exponent == k

@@ -254,16 +254,20 @@ def test_divisible_by_all_b_powers_probe_reported():
 
 
 def _count_group_work(monkeypatch):
-    """Count free-group run pushes; a letter-by-letter embedding of b^k
-    would push k times."""
-    counts = {"push": 0}
-    push_run = groups._push_run
+    """Count free-group run pushes and embeddings of letter sequences."""
+    counts = {"push": 0, "letters": 0}
+    push_run, embed_letters = groups._push_run, groups.embed_letters
 
     def counting_push(stack, letter, exp):
         counts["push"] += 1
         push_run(stack, letter, exp)
 
+    def counting_letters(letters):
+        counts["letters"] += 1
+        return embed_letters(letters)
+
     monkeypatch.setattr(groups, "_push_run", counting_push)
+    monkeypatch.setattr(groups, "embed_letters", counting_letters)
     return counts
 
 
@@ -272,9 +276,10 @@ def test_accp_group_work_is_linear_in_depth(monkeypatch):
     # number of pushes, never a re-embedding of b^k a^2 letter by letter
     counts = _count_group_work(monkeypatch)
     for depth in (50, 100, 200):
-        counts.update(push=0)
+        counts.update(push=0, letters=0)
         assert verify_accp_failure(depth).depth == depth
         assert 0 < counts["push"] <= 6 * depth
+        assert counts["letters"] == 0
 
 
 def test_b_power_probe_group_work_is_linear(monkeypatch):
@@ -282,9 +287,10 @@ def test_b_power_probe_group_work_is_linear(monkeypatch):
     for k in (50, 100, 200):
         results = []
         for x in (NormalForm(0, ((2, k),), 0), NormalForm(k, (), 0), NormalForm(k, ((3, k), (1, 2)), 5)):
-            counts.update(push=0)
+            counts.update(push=0, letters=0)
             results.append(divisible_by_all_b_powers(x))
             assert counts["push"] <= 6 * (results[-1].probe + 1) * len(x.runs)
+            assert counts["letters"] == 0
         # a^2 b^k finds its witness after k + 1 probes; b^k runs both loops
         assert results[0].forever and results[0].exponent == k
         assert not results[1].forever and results[1].exponent == k

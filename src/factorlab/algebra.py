@@ -73,9 +73,6 @@ class Field:
     def add(self, x: Scalar, y: Scalar) -> Scalar:
         return (x + y) % self.modulus if self.modulus else x + y
 
-    def neg(self, x: Scalar) -> Scalar:
-        return (-x) % self.modulus if self.modulus else -x
-
     def mul(self, x: Scalar, y: Scalar) -> Scalar:
         return (x * y) % self.modulus if self.modulus else x * y
 
@@ -97,9 +94,6 @@ class Field:
             return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"coefficient {text!r} divides by zero") from None
-
-    def format(self, x: Scalar) -> str:
-        return str(x)
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,7 @@ class AlgebraElement:
     def display(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{self.field.format(c)} * {nf.display()}" for nf, c in self.terms)
+        return " + ".join(f"{c!s} * {nf.display()}" for nf, c in self.terms)
 
 
 def _build(field: Field, mapping: dict[NormalForm, Scalar]) -> AlgebraElement:
@@ -212,7 +206,7 @@ def _solve_exact(field: Field, rows: list[list[Scalar]], rhs: list[Scalar]) -> O
         for i in range(m):
             if i != r and aug[i][col] != 0:
                 factor = aug[i][col]
-                aug[i] = [field.add(v, field.neg(field.mul(factor, w))) for v, w in zip(aug[i], aug[r])]
+                aug[i] = [field.add(v, -field.mul(factor, w)) for v, w in zip(aug[i], aug[r])]
         pivot_cols.append(col)
         r += 1
         if r == m:

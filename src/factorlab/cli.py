@@ -73,13 +73,14 @@ def cmd_atom(args) -> int:
 
 def cmd_lengths(args) -> int:
     report = monoid.length_set(monoid.normalize(_word(args.word)), args.cap)
-    body = "{" + ",".join(str(n) for n in report.sorted_lengths()) + "}"
+    lengths = report.sorted_lengths()
+    body = "{" + ",".join(str(n) for n in lengths) + "}"
     _emit(
         args,
         {
             "element": report.element.display(),
             "cap": report.cap,
-            "lengths": list(report.sorted_lengths()),
+            "lengths": list(lengths),
             "exhausted": report.exhausted,
         },
         [body, f"exhausted: {report.exhausted}"],

@@ -5,10 +5,12 @@ a_i in Q[y], and multiplication is driven by the commutation rule
 
     a * x = x * sigma(a) + delta(a)
 
-for base-ring elements a.  Three ready-made configurations cover the rings
-exercised here: the Weyl algebra (sigma = id, delta = d/dy), the quantum
-plane (sigma: y -> q y, delta = 0), and the quantum torus, the Laurent ring
-over the scaling automorphism.
+for base-ring elements a.  The twist data is one value, ``SigmaDelta(q,
+ddy)``: sigma is y -> q y, the identity when q = 1, and delta is d/dy when
+``ddy`` is set (only at q = 1) and zero otherwise.  Three ready-made
+configurations cover the rings exercised here: the Weyl algebra (q = 1,
+delta = d/dy), the quantum plane (y -> q y, delta = 0), and the quantum
+torus, the Laurent ring over the scaling automorphism.
 
 Multiplication (standard Ore-extension arithmetic, Goodearl & Warfield,
 *An Introduction to Noncommutative Noetherian Rings*, ch. 2): for
@@ -31,9 +33,9 @@ output coefficient at the end.  The twists act on rows through one core
 each: d/dy multiplies entry i by i, and sigma^k, the scaling y -> q^k y for
 any integer k (:func:`_sigma_power`), multiplies entry i by
 num^i den^(top - i), with num/den = q^k in lowest terms and top the largest
-y-degree of f (sigma keeps degrees).  So each x adds a factor den(q)^top to
-the denominator, and the j-th contribution is lifted by
-den(q)^((n_g - 1 - j) * top).  For operands whose coefficients have at most
+y-degree of f (sigma keeps degrees); at q = 1 the rows are left as they
+are.  So each x adds a factor den(q)^top to the denominator, and the j-th
+contribution is lifted by den(q)^((n_g - 1 - j) * top).  For operands whose coefficients have at most
 w_f and w_g entries, a product thus costs at most
 (n_f + n_g) * n_g * w_f * w_g int products in the accumulation, O(w_f) int
 operations per application of sigma or delta, and one gcd per output
@@ -65,13 +67,14 @@ build no ``Fraction``, ``Poly`` or ``OrePoly``.  A pair costs at most one
 twist of g's rows, one row product (the ``ore_mul`` bound above, with
 w_f, w_g <= 4 and n_f, n_g <= 4 for skew polynomials, n_f, n_g <= 7 for
 Laurent elements), the lengths read off the trimmed rows, and for the law
-one scaled row and one row product compared with the product's top row
-(leading law) or bottom row (lowest law) by cross-multiplication.  The law
-forms its sigma power from the operands, not from the product, so a wrong
-twist in the product is counted.  The draws call ``rng.getrandbits`` as
-``Random.randint`` does (see :func:`_below`), so a seed gives the same
-operands, and leaves the generator in the same state, as draws through
-``randint``.
+(:func:`_law_rows`) a count of the product's rows, one scaled row and one
+row product compared with the product's end row by cross-multiplication:
+the top row for skew polynomials, the bottom row for Laurent elements.  The
+law forms its sigma power from the operands, not from the product, so a
+wrong twist in the product, or a product with a row too few, is counted.
+The draws call ``rng.getrandbits`` as ``Random.randint`` does (see
+:func:`_below`), so a seed gives the same operands, and leaves the generator
+in the same state, as draws through ``randint``.
 """
 
 from __future__ import annotations
@@ -138,23 +141,8 @@ def _ddy_row(row: list[int]) -> list[int]:
     return [i * n for i, n in enumerate(row[1:], 1)]
 
 
-def _scale_factors(num: int, den: int, top: int) -> list[int]:
-    """num^i * den^(top - i) for i = 0..top: y -> (num / den) y on rows of
-    y-degree at most ``top`` once the denominator gains den^top."""
-    out = [1] * (top + 1)
-    power = 1
-    for i in range(1, top + 1):
-        power *= num
-        out[i] = power
-    power = 1
-    for i in range(top - 1, -1, -1):
-        power *= den
-        out[i] *= power
-    return out
-
-
 def _scale_row(row: list[int], factors: list[int]) -> list[int]:
-    """y -> q y on numerators, with the factors of :func:`_scale_factors`."""
+    """y -> q^k y on numerators, with the factors of :func:`_sigma_power`."""
     return [n * f for n, f in zip(row, factors)]
 
 
@@ -172,35 +160,30 @@ def base_weight(p: Poly) -> int:
 class SigmaDelta:
     """Endomorphism/derivation pair driving the commutation rule.
 
-    sigma is the identity or a scaling (y -> q y); delta is zero or d/dy, the
-    latter only alongside the identity.  Both sigmas are degree-preserving
-    automorphisms, so they map nonunits to nonunits.
+    sigma is the scaling y -> q y, the identity when q = 1; delta is d/dy
+    when ``ddy`` is set, which needs q = 1, and zero otherwise.  sigma is a
+    degree-preserving automorphism, so it maps nonunits to nonunits.
     """
 
-    sigma: str  # "identity" | "scale"
-    delta: str = "zero"  # "zero" | "ddy"
     q: Fraction = Fraction(1)
+    ddy: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma not in ("identity", "scale"):
-            raise ValueError(f"unknown sigma: {self.sigma!r}")
-        if self.delta not in ("zero", "ddy"):
-            raise ValueError(f"unknown delta: {self.delta!r}")
-        if self.delta == "ddy" and self.sigma != "identity":
-            raise ValueError("d/dy is a derivation only for the identity twist")
-        if self.sigma == "scale" and self.q == 0:
-            raise ValueError("scale factor must be invertible")
         # the row cores read num(q) and den(q): hold q as a reduced Fraction
         # whatever rational type it arrives as
         object.__setattr__(self, "q", Fraction(self.q))
+        if self.q == 0:
+            raise ValueError("scale factor must be invertible")
+        if self.ddy and self.q != 1:
+            raise ValueError("d/dy is a derivation only for the identity twist")
 
 
 def weyl() -> SigmaDelta:
-    return SigmaDelta("identity", "ddy")
+    return SigmaDelta(ddy=True)
 
 
 def quantum_plane(q=2) -> SigmaDelta:
-    return SigmaDelta("scale", "zero", Fraction(q))
+    return SigmaDelta(q)
 
 
 def parse_config(text: str) -> tuple[str, SigmaDelta]:
@@ -252,52 +235,48 @@ class OrePoly:
         return len(self.coeffs) == 1 and self.coeffs[0].is_unit()
 
 
-def _ore(coeffs: Sequence[Poly], sd: SigmaDelta) -> OrePoly:
+def ore_from_coeffs(coeffs: Iterable[Poly], sd: SigmaDelta) -> OrePoly:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     return OrePoly(tuple(coeffs), sd)
 
 
-def ore_from_coeffs(coeffs: Iterable[Poly], sd: SigmaDelta) -> OrePoly:
-    return _ore(list(coeffs), sd)
-
-
-def _same_twist(f: OrePoly, g: OrePoly) -> None:
-    if f.sd != g.sd:
-        raise ValueError("operands carry different twist data")
-
-
 def _sigma_power(sd: SigmaDelta, k: int, top: int) -> tuple[list[int], int]:
-    """sigma^k, for any integer k, on rows of y-degree at most ``top``: the
-    factors of :func:`_scale_factors` and the denominator the rows gain.  For
-    a scale twist sigma^k is y -> q^k y, and q^k = (den(q) / num(q))^(-k)
-    when k < 0, so num(q) and den(q) swap; the identity gains nothing."""
-    if sd.sigma == "identity":
-        return [1] * (top + 1), 1
+    """sigma^k, y -> q^k y for any integer k, on rows of y-degree at most
+    ``top``: the factors num^i * den^(top - i), i = 0..top, that multiply the
+    entries, and the denominator den^top the rows gain, with num / den = q^k.
+    As q^k = (den(q) / num(q))^(-k) when k < 0, num(q) and den(q) swap; when
+    q^k = 1 every factor is 1 and the rows gain nothing."""
     num, den = sd.q.numerator, sd.q.denominator
     if k < 0:
         num, den, k = den, num, -k
-    return _scale_factors(num**k, den**k, top), den ** (k * top)
-
-
-def _sigma_row(row: list[int], sigma: str, factors: list[int]) -> list[int]:
-    """sigma on numerators; a scale twist uses the factors of
-    :func:`_sigma_power`, and the caller's denominator gains den(q)^top."""
-    if sigma == "identity":
-        return row
-    return _scale_row(row, factors)
+    num, den = num**k, den**k
+    factors = [1] * (top + 1)
+    if num == den:  # q^k = 1
+        return factors, 1
+    power = 1
+    for i in range(1, top + 1):
+        power *= num
+        factors[i] = power
+    power = 1
+    for i in range(top - 1, -1, -1):
+        power *= den
+        factors[i] *= power
+    return factors, power
 
 
 def _times_x(rows: list[list[int]], sd: SigmaDelta, factors: list[int]) -> list[list[int]]:
     """Numerator rows of h * x from those of h: one pass of
-    a * x = x * sigma(a) + delta(a) over the coefficients of h."""
+    a * x = x * sigma(a) + delta(a) over the coefficients of h, with sigma
+    scaling by the factors of :func:`_sigma_power` unless q = 1."""
+    scale, ddy = sd.q != 1, sd.ddy
     out: list[list[int]] = [[]] * (len(rows) + 1)  # slots are replaced, never mutated
     for m, c in enumerate(rows):
         if not c:
             continue
-        out[m + 1] = _sigma_row(c, sd.sigma, factors)  # slot m + 1 is first written here
-        if sd.delta == "ddy" and len(c) > 1:
+        out[m + 1] = _scale_row(c, factors) if scale else c  # slot m + 1 is first written here
+        if ddy and len(c) > 1:
             d = _ddy_row(c)
             prev = out[m]
             if len(prev) < len(d):
@@ -343,7 +322,8 @@ def _mul_rows(f: list[list[int]], g: list[list[int]], sd: SigmaDelta) -> tuple[l
 def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
     """f * g as the sum over j of (f * x^j) * b_j, for g = sum_j x^j b_j,
     in integer numerators over one denominator for the whole product."""
-    _same_twist(f, g)
+    if f.sd != g.sd:
+        raise ValueError("operands carry different twist data")
     if f.is_zero() or g.is_zero():
         return OrePoly((), f.sd)
     den_f = _denominator([c for a in f.coeffs for c in a.coeffs])
@@ -373,15 +353,21 @@ def _total_degree(rows: list[list[int]]) -> int:
     return max((i + len(row) - 1 for i, row in enumerate(rows) if row), default=-1)
 
 
-def _leading_law_rows(p: list[list[int]], den: int, f: list[list[int]], g: list[list[int]], sd: SigmaDelta) -> bool:
-    """The top-coefficient identity lead(f*g) = sigma^l(lead f) * lead g,
-    l = deg_x g, for integer rows f and g and the rows ``p`` over ``den`` of
-    their product, compared by cross-multiplication."""
+def _law_rows(
+    p: list[list[int]], den: int, f: list[list[int]], g: list[list[int]], k: int, end: int, sd: SigmaDelta
+) -> bool:
+    """The end-coefficient identity of a product: it has len(f) + len(g) - 1
+    rows, and its row at ``end`` is sigma^k(f[end]) * g[end].  For skew
+    polynomials ``end`` is -1 and k = deg_x g (the leading law); for skew
+    Laurent elements ``end`` is 0 and k is the lowest x-exponent of g (the
+    lowest law).  f and g are integer rows and ``p`` the rows over ``den`` of
+    their product.  sigma^k is formed here from the operands, not taken from
+    the product, and compared by cross-multiplication."""
     if len(p) != len(f) + len(g) - 1:
         return False
-    factors, den_lead = _sigma_power(sd, len(g) - 1, len(f[-1]) - 1)
-    lead = _scale_row(f[-1], factors)
-    return [n * den_lead for n in p[-1]] == [n * den for n in _mul_row(lead, g[-1])]
+    factors, den_end = _sigma_power(sd, k, len(f[end]) - 1)
+    twisted = _scale_row(f[end], factors)
+    return [n * den_end for n in p[end]] == [n * den for n in _mul_row(twisted, g[end])]
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +381,6 @@ def _pretwist(rows: list[list[int]], k: int, sd: SigmaDelta) -> tuple[list[list[
         return rows, 1
     factors, den = _sigma_power(sd, k, max(len(row) for row in rows) - 1)
     return [_scale_row(row, factors) for row in rows], den
-
-
-def _lowest_law_rows(p: list[list[int]], den: int, f: list[list[int]], g: list[list[int]], k: int, sd: SigmaDelta) -> bool:
-    """The lowest-coefficient identity low(f*g) = sigma^k(low f) * low g of a
-    Laurent product, k the lowest x-exponent of g, for the rows of f and g and
-    the rows ``p`` over ``den`` of their product (whose lowest exponent is the
-    sum of theirs).  sigma^k is formed here from the operands, not taken from
-    the product, and compared by cross-multiplication."""
-    factors, den_low = _sigma_power(sd, k, len(f[0]) - 1)
-    low = _scale_row(f[0], factors)
-    return [n * den_low for n in p[0]] == [n * den for n in _mul_row(low, g[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +477,9 @@ def check_skew_laws(configuration: str, pairs: int, seed: int = 0) -> LawCheckRe
     Every configuration runs one loop on integer rows: draw, twist g's rows
     by sigma^k with k the lowest x-exponent of h (0 for skew polynomials),
     one :func:`_mul_rows`, the lambda drop, then the law.  The configuration
-    picks only the draw, the end whose row lambda reads (top for
-    lambda_skew, bottom for lambda_laurent) and the law (leading or lowest
-    coefficient).
+    picks only the draw and the end whose row lambda and the law read (top
+    for lambda_skew and the leading coefficient, bottom for lambda_laurent
+    and the lowest coefficient).
     """
     import random
 
@@ -525,7 +500,7 @@ def check_skew_laws(configuration: str, pairs: int, seed: int = 0) -> LawCheckRe
         den *= gained
         if not _lambda_rows(p, end) > _lambda_rows(g, end):
             right_bad += 1
-        if not (_lowest_law_rows(p, den, g, h, k, sd) if laurent else _leading_law_rows(p, den, g, h, sd)):
+        if not _law_rows(p, den, g, h, k if laurent else len(h) - 1, end, sd):
             law_bad += 1
     return LawCheckResult(configuration, pairs, right_bad, law_bad)
 

@@ -47,10 +47,6 @@ class LaurentPoly2:
     def term(x_exp: int, y_exp: int, coeff=1) -> "LaurentPoly2":
         return LaurentPoly2.from_dict({(x_exp, y_exp): Fraction(coeff)})
 
-    @staticmethod
-    def constant(value) -> "LaurentPoly2":
-        return LaurentPoly2.from_dict({(0, 0): Fraction(value)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -112,7 +108,7 @@ class LaurentPoly2:
 
 
 ZERO = LaurentPoly2(())
-ONE = LaurentPoly2.constant(1)
+ONE = LaurentPoly2.term(0, 0)
 
 
 def _denominator(p: LaurentPoly2) -> int:
@@ -248,13 +244,13 @@ class _Parser:
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        result = self.mul(self.parse_term(), LaurentPoly2.constant(sign))
+        result = self.mul(self.parse_term(), LaurentPoly2.term(0, 0, sign))
         while self.peek() in ("+", "-"):
             sign = Fraction(1)
             while self.peek() in ("+", "-"):
                 if self.take() == "-":
                     sign = -sign
-            result = _bounded(result + self.mul(self.parse_term(), LaurentPoly2.constant(sign)))
+            result = _bounded(result + self.mul(self.parse_term(), LaurentPoly2.term(0, 0, sign)))
         return result
 
     def parse_term(self) -> LaurentPoly2:
@@ -298,7 +294,7 @@ class _Parser:
         if tok == "y":
             return LaurentPoly2.term(0, 1)
         if re.fullmatch(r"\d+(/\d+)?", tok):
-            return LaurentPoly2.constant(parse_rational(tok))
+            return LaurentPoly2.term(0, 0, parse_rational(tok))
         raise ValueError(f"unexpected token {tok!r} in polynomial literal")
 
     def power(self, base: LaurentPoly2, exponent: int) -> LaurentPoly2:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,12 +35,16 @@ ROWS = {
     "monoid.multiply((a^3 b)^k a, (a b)^2k)": (3, (8, 16, 32)),
     "monoid.normalize(parse_word(b^k a^2 b^k))": (0, (10**3, 10**4, 10**5)),
     "groups.left_quotient(b^k, b^k a^2 b^3)": (0, (10**3, 10**4, 10**5)),
+    "groups.embed((b a^2)^k)": (1, (250, 500, 1000)),
+    "groups.parse_membership(embed((b a)^k))": (1, (250, 500, 1000)),
     "monoid.divisible_by_all_b_powers(b^3, probe)": (1, (50, 100, 200)),
     "monoid.verify_accp_failure(depth)": (1, (50, 100, 200)),
     "pi_matrix.peel_chain(demo_matrix(), steps)": (1, (50, 100, 200)),
     "ore.check_skew_laws(weyl, pairs)": (1, (100, 200, 400)),
     "ore.check_skew_laws(qplane:q=2, pairs)": (1, (100, 200, 400)),
     "ore.check_skew_laws(qtorus:q=3, pairs)": (1, (100, 200, 400)),
+    "ore.ore_mul(weyl, n dense x-coefficients)": (2, (8, 16, 32)),
+    "ore.ore_mul(qplane:q=2, n dense x-coefficients)": (2, (8, 16, 32)),
 }
 
 
@@ -70,6 +75,23 @@ def _operations():
     def audit(config):
         return lambda pairs: lambda: ore.check_skew_laws(config, pairs, 1)
 
+    def ore_mul(sd):
+        def build(n):
+            rng = random.Random(n)
+            f, g = (ore.ore_from_coeffs([ore.random_poly(rng, nonzero=True) for _ in range(n)], sd) for _ in range(2))
+            return lambda: ore.ore_mul(f, g)
+
+        return build
+
+    def embed(k):
+        word = parse_word(" ".join(["b a^2"] * k), ALPHABET)
+        return lambda: groups.embed(word)
+
+    def membership(k):
+        # (b a^2)^k would collapse to a few runs: b a b a keeps one run a letter
+        element = groups.embed(parse_word(" ".join(["b a"] * k), ALPHABET))
+        return lambda: groups.parse_membership(element)
+
     return {
         "monoid.normalize((b a a)^k)": normalize,
         "monoid.multiply((a^3 b)^k a, (a b)^2k)": multiply,
@@ -77,6 +99,8 @@ def _operations():
             parse_word(f"b^{k} a^2 b^{k}", ALPHABET)
         ),
         "groups.left_quotient(b^k, b^k a^2 b^3)": left_quotient,
+        "groups.embed((b a^2)^k)": embed,
+        "groups.parse_membership(embed((b a)^k))": membership,
         "monoid.divisible_by_all_b_powers(b^3, probe)": lambda probe: lambda: monoid.divisible_by_all_b_powers(
             NormalForm(3, (), 0), probe
         ),
@@ -85,6 +109,8 @@ def _operations():
         "ore.check_skew_laws(weyl, pairs)": audit("weyl"),
         "ore.check_skew_laws(qplane:q=2, pairs)": audit("qplane:q=2"),
         "ore.check_skew_laws(qtorus:q=3, pairs)": audit("qtorus:q=3"),
+        "ore.ore_mul(weyl, n dense x-coefficients)": ore_mul(ore.weyl()),
+        "ore.ore_mul(qplane:q=2, n dense x-coefficients)": ore_mul(ore.quantum_plane(2)),
     }
 
 

@@ -300,10 +300,10 @@ def test_literal_coefficients_are_bounded():
         with pytest.raises(ValueError, match="bits"):
             parse_laurent_poly(text)
     # the power check is sound: results within the bound still parse
-    assert parse_laurent_poly(f"2^{MAX_COEFF_BITS - 1}") == LaurentPoly2.constant(2 ** (MAX_COEFF_BITS - 1))
+    assert parse_laurent_poly(f"2^{MAX_COEFF_BITS - 1}") == LaurentPoly2.term(0, 0, 2 ** (MAX_COEFF_BITS - 1))
     assert parse_laurent_poly("(3/7)^1459*y^-2") == LaurentPoly2.term(0, -2, Fraction(3, 7) ** 1459)
-    assert parse_laurent_poly(f"-{2**MAX_COEFF_BITS - 1}") == LaurentPoly2.constant(1 - 2**MAX_COEFF_BITS)
-    assert parse_laurent_poly("(1/2)^-100") == LaurentPoly2.constant(2**100)
+    assert parse_laurent_poly(f"-{2**MAX_COEFF_BITS - 1}") == LaurentPoly2.term(0, 0, 1 - 2**MAX_COEFF_BITS)
+    assert parse_laurent_poly("(1/2)^-100") == LaurentPoly2.term(0, 0, 2**100)
 
 
 def _power_by_products(parser, base, k):
@@ -322,7 +322,7 @@ def _outcome(parser, run):
 
 
 def test_single_term_power_is_charged_as_repeated_products():
-    bases = (X, Y, Y_INV, LaurentPoly2.term(2, -3, Fraction(-3, 7)), LaurentPoly2.constant(Fraction(5, 2)), -ONE)
+    bases = (X, Y, Y_INV, LaurentPoly2.term(2, -3, Fraction(-3, 7)), LaurentPoly2.term(0, 0, Fraction(5, 2)), -ONE)
     for base in bases:
         for k in range(31):
             fast, slow = _Parser([]), _Parser([])
@@ -334,7 +334,7 @@ def test_single_term_power_refuses_as_repeated_products():
     # 3^k passes MAX_COEFF_BITS at k = 2585 and 2^k at k = 4096; with the
     # budget nearly spent, whichever limit repeated products hit first decides
     assert (3**2584).bit_length() <= MAX_COEFF_BITS < (3**2585).bit_length()
-    for base, k in ((LaurentPoly2.constant(3), 3000), (LaurentPoly2.constant(2), 4000), (Y, 5000)):
+    for base, k in ((LaurentPoly2.term(0, 0, 3), 3000), (LaurentPoly2.term(0, 0, 2), 4000), (Y, 5000)):
         for spent in (0, 96000, 97000, 97300, 97415, 97416, 97500, 98000, MAX_TERM_PRODUCTS):
             fast, slow = _Parser([]), _Parser([])
             fast.work = slow.work = spent

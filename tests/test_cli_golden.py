@@ -5,7 +5,9 @@ commands print exactly the recorded bytes.
 ``factorlab``) to its exit code, standard output and standard error, as
 ``cli.main`` produced them before the skew-product kernel ran on integer
 rows (README commands and audits) and before the accp, b-power and peeling
-certificates ran at the level of runs (``CHAINS``), and before the code that
+certificates ran at the level of runs (``CHAINS``; the two rational
+``pi-demo`` lines were recorded before ``LaurentPoly2`` stored integer
+numerators), and before the code that
 no command reaches was deleted (``BRANCHES``, one command per normal branch
 that the other lines miss).  The README commands are
 read from the README itself, so a command added there without a recorded
@@ -35,6 +37,9 @@ CHAINS = (
     "pi-demo --steps 3 --json",
     'pi-demo --matrix "1; x; 1; x" --steps 3',  # det 0: refused, exit 2
     'pi-demo --matrix "1; x; 1; 1" --steps 3',  # second column not in xS: exit 2
+    # rational entries: the display of reduced coefficients
+    'pi-demo --matrix "1/2 + 3/7*y; 2/3*x; -5/4*y^-1; 1/6*x*y - 1/9*x" --steps 3',
+    'pi-demo --matrix "1/2 + 3/7*y; 2/3*x; -5/4*y^-1; 1/6*x*y - 1/9*x" --steps 3 --json',
 )
 BRANCHES = (
     'atom "e"',  # unit

@@ -33,9 +33,10 @@ output coefficient at the end.  The twists act on rows through one core
 each: d/dy multiplies entry i by i, and sigma^k, the scaling y -> q^k y for
 any integer k (:func:`_sigma_power`), multiplies entry i by
 num^i den^(top - i), with num/den = q^k in lowest terms and top the largest
-y-degree of f (sigma keeps degrees); at q = 1 the rows are left as they
-are.  So each x adds a factor den(q)^top to the denominator, and the j-th
-contribution is lifted by den(q)^((n_g - 1 - j) * top).  For operands whose coefficients have at most
+y-degree of f (sigma keeps degrees); wherever q^k = 1 (q = 1, k = 0, or
+q = -1 and k even) the rows are left as they are, uncopied.  So each x
+adds a factor den(q)^top to the denominator, and the j-th contribution
+is lifted by den(q)^((n_g - 1 - j) * top).  For operands whose coefficients have at most
 w_f and w_g entries, a product thus costs at most
 (n_f + n_g) * n_g * w_f * w_g int products in the accumulation, O(w_f) int
 operations per application of sigma or delta, and one gcd per output
@@ -142,7 +143,8 @@ def _ddy_row(row: list[int]) -> list[int]:
 
 
 def _scale_row(row: list[int], factors: list[int]) -> list[int]:
-    """y -> q^k y on numerators, with the factors of :func:`_sigma_power`."""
+    """y -> q^k y on numerators, with the factors of :func:`_sigma_power`
+    (never called when q^k = 1)."""
     return [n * f for n, f in zip(row, factors)]
 
 
@@ -242,19 +244,20 @@ def ore_from_coeffs(coeffs: Iterable[Poly], sd: SigmaDelta) -> OrePoly:
     return OrePoly(tuple(coeffs), sd)
 
 
-def _sigma_power(sd: SigmaDelta, k: int, top: int) -> tuple[list[int], int]:
+def _sigma_power(sd: SigmaDelta, k: int, top: int) -> tuple[list[int] | None, int]:
     """sigma^k, y -> q^k y for any integer k, on rows of y-degree at most
     ``top``: the factors num^i * den^(top - i), i = 0..top, that multiply the
     entries, and the denominator den^top the rows gain, with num / den = q^k.
-    As q^k = (den(q) / num(q))^(-k) when k < 0, num(q) and den(q) swap; when
-    q^k = 1 every factor is 1 and the rows gain nothing."""
+    As q^k = (den(q) / num(q))^(-k) when k < 0, num(q) and den(q) swap.  When
+    q^k = 1 sigma^k is the identity: there are no factors (None), the rows
+    stay as they are, uncopied, and gain nothing."""
     num, den = sd.q.numerator, sd.q.denominator
     if k < 0:
         num, den, k = den, num, -k
     num, den = num**k, den**k
-    factors = [1] * (top + 1)
     if num == den:  # q^k = 1
-        return factors, 1
+        return None, 1
+    factors = [1] * (top + 1)
     power = 1
     for i in range(1, top + 1):
         power *= num
@@ -266,16 +269,17 @@ def _sigma_power(sd: SigmaDelta, k: int, top: int) -> tuple[list[int], int]:
     return factors, power
 
 
-def _times_x(rows: list[list[int]], sd: SigmaDelta, factors: list[int]) -> list[list[int]]:
+def _times_x(rows: list[list[int]], sd: SigmaDelta, factors: list[int] | None) -> list[list[int]]:
     """Numerator rows of h * x from those of h: one pass of
     a * x = x * sigma(a) + delta(a) over the coefficients of h, with sigma
-    scaling by the factors of :func:`_sigma_power` unless q = 1."""
-    scale, ddy = sd.q != 1, sd.ddy
+    scaling by the factors of :func:`_sigma_power` unless there are none
+    (q = 1)."""
+    ddy = sd.ddy
     out: list[list[int]] = [[]] * (len(rows) + 1)  # slots are replaced, never mutated
     for m, c in enumerate(rows):
         if not c:
             continue
-        out[m + 1] = _scale_row(c, factors) if scale else c  # slot m + 1 is first written here
+        out[m + 1] = c if factors is None else _scale_row(c, factors)  # slot m + 1 is first written here
         if ddy and len(c) > 1:
             d = _ddy_row(c)
             prev = out[m]
@@ -366,7 +370,7 @@ def _law_rows(
     if len(p) != len(f) + len(g) - 1:
         return False
     factors, den_end = _sigma_power(sd, k, len(f[end]) - 1)
-    twisted = _scale_row(f[end], factors)
+    twisted = f[end] if factors is None else _scale_row(f[end], factors)
     return [n * den_end for n in p[end]] == [n * den for n in _mul_row(twisted, g[end])]
 
 
@@ -376,10 +380,11 @@ def _law_rows(
 
 def _pretwist(rows: list[list[int]], k: int, sd: SigmaDelta) -> tuple[list[list[int]], int]:
     """Rows of sigma^k(F) for F = sum_i x^i a_i, and the denominator they
-    gain: as a * x^k = x^k * sigma^k(a), x^e F * x^k G = x^(e + k) sigma^k(F) G."""
-    if not k:
-        return rows, 1
+    gain: as a * x^k = x^k * sigma^k(a), x^e F * x^k G = x^(e + k) sigma^k(F) G.
+    When q^k = 1 (k = 0 included) the rows come back as they are."""
     factors, den = _sigma_power(sd, k, max(len(row) for row in rows) - 1)
+    if factors is None:
+        return rows, 1
     return [_scale_row(row, factors) for row in rows], den
 
 

@@ -19,6 +19,9 @@ Since ``m = diag(1, y) * rest``, ``det(m) = y * det(rest)``, and y is a unit
 of Q[x, y, y^{-1}], so ``det(m) != 0`` exactly when ``det(rest) != 0``.
 ``peel`` therefore forms one determinant per step, that of ``rest``, and
 multiplies by the monomials ``1``, ``y`` and ``y^-1`` in O(terms).
+``Mat2.det`` is one integer pass (:func:`xy_poly.det2`): both products of
+``a11*a22 - a12*a21`` accumulate their numerators into one dict, which is
+reduced by one gcd, so a determinant builds one element and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .xy_poly import LaurentPoly2, ONE, ZERO, parse_laurent_poly
+from .xy_poly import LaurentPoly2, ONE, ZERO, det2, parse_laurent_poly
 
 Y = LaurentPoly2.term(0, 1)
 Y_INV = LaurentPoly2.term(0, -1)
@@ -53,7 +56,8 @@ class Mat2:
         )
 
     def det(self) -> LaurentPoly2:
-        return self.a11 * self.a22 - self.a12 * self.a21
+        """a11*a22 - a12*a21 in one integer pass (:func:`xy_poly.det2`)."""
+        return det2(self.a11, self.a12, self.a21, self.a22)
 
     def display(self) -> str:
         e = [p.display() for p in self.entries()]
@@ -116,8 +120,8 @@ def peel_chain(m: Mat2, steps: int) -> Iterator[PeelStep]:
     the ring, its inverse is not) is checked once, before the first step.
     Each remainder's membership, special shape, nonzero determinant and
     exact product are checked inside ``peel``, which forms one determinant a
-    step, the remainder's: scaling by ``y^-1`` costs O(terms), and the rest
-    is that determinant and one 2x2 product.
+    step, the remainder's, in one integer pass: scaling by ``y^-1`` costs
+    O(terms), and the rest is that determinant and one 2x2 product.
     """
     if steps < 1:
         raise ValueError("steps must be positive")

@@ -5,19 +5,26 @@ arbitrary integer y-exponent, with rational coefficients.  The parser reads
 matrix entry literals: sums of products of numbers, ``x``, ``y``, powers like
 ``y^-1`` or ``x^2``, and parenthesized subexpressions such as ``x*(y+1)``.
 
-``+`` and ``*`` work as ``ore.Poly`` does: the coefficients of both operands
-become integer numerators over one common denominator, the terms combine in
-plain ints, zero sums drop out while still ints, and each output coefficient
-is reduced to a ``Fraction`` once.  A product of an m- and an n-term element
-costs m*n int products and one gcd per output term; a zero operand returns
-at once.  A single-term operand ``c x^i y^j`` costs O(n): the other operand's
-keys shift by (i, j), which keeps them sorted, and its coefficients are
-multiplied by ``c`` only when ``c`` is not 1, so a monomial such as ``y^-1``
-builds no new ``Fraction``.
+Storage (rational arithmetic in integers, reduced once by a gcd: Knuth,
+*TAOCP* vol. 2, sec. 4.5.1): an element is its sorted ``((i, j), n)``
+integer terms over one denominator ``den >= 1``, with no zero numerator and
+``gcd(den, numerators) = 1``, so each element has exactly one stored form
+and ``==`` and ``hash`` compare plain ints.  Every construction checks that
+form.  ``+``, ``*`` and :func:`det2` accumulate numerators in one dict over
+one denominator, drop the zeros and divide by one gcd at the end.  A product
+of an m- and an n-term element costs m*n int products; a zero operand returns
+at once, ``ONE`` returns the other operand, and a single-term operand
+``c x^i y^j`` costs O(n): the other operand's keys shift by (i, j), which keeps
+them sorted, and its numerators change only when ``c`` is not 1, so a
+monomial such as ``y^-1`` does no arithmetic on coefficients.  ``Fraction``
+appears only at the edges: the inputs of ``from_dict`` and ``term``, and the
+derived ``terms`` view that ``display`` and the parser's bit bound read.
 
 The parser bounds its work twice: ``MAX_TERM_PRODUCTS`` caps the number of
 term products a literal may cost, and ``MAX_COEFF_BITS`` the size of every
-coefficient it builds.
+coefficient it builds.  A sum keeps one reduced ``Fraction`` per key, checks
+each coefficient it updates against the bit bound and builds the element
+once, so adding a term never rescales the whole partial sum.
 """
 
 from __future__ import annotations
@@ -26,73 +33,83 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
 class LaurentPoly2:
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]  # ((x_exp, y_exp), coeff), sorted
+    nums: tuple[tuple[tuple[int, int], int], ...]  # ((x_exp, y_exp), numerator), sorted
+    den: int = 1
 
     def __post_init__(self) -> None:
-        for (i, _j), coeff in self.terms:
+        for (i, _j), n in self.nums:
             if i < 0:
                 raise ValueError("x-exponents must be non-negative (x is not invertible)")
-            if coeff == 0:
+            if not n:
                 raise ValueError("zero coefficient stored")
+        # math.gcd also refuses a numerator that is not an int
+        if self.den < 1 or math.gcd(self.den, *[n for _, n in self.nums]) != 1:
+            raise ValueError("numerators must be reduced over a positive denominator")
 
     @staticmethod
     def from_dict(d: dict[tuple[int, int], Fraction]) -> "LaurentPoly2":
-        return LaurentPoly2(tuple(sorted((k, Fraction(v)) for k, v in d.items() if v != 0)))
+        coeffs = [(key, Fraction(c)) for key, c in d.items()]
+        den = math.lcm(*[c.denominator for _, c in coeffs])
+        return _reduced([(key, c.numerator * (den // c.denominator)) for key, c in coeffs], den)
 
     @staticmethod
     def term(x_exp: int, y_exp: int, coeff=1) -> "LaurentPoly2":
-        return LaurentPoly2.from_dict({(x_exp, y_exp): Fraction(coeff)})
+        return LaurentPoly2.from_dict({(x_exp, y_exp): coeff})
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        """The terms with their reduced ``Fraction`` coefficients, sorted."""
+        den = self.den
+        return tuple([(key, Fraction(n, den)) for key, n in self.nums])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        if not other.terms:
+        if not other.nums:
             return self
-        if not self.terms:
+        if not self.nums:
             return other
-        den = math.lcm(_denominator(self), _denominator(other))
-        acc = dict(_numerators(self, den))
-        for key, n in _numerators(other, den):
-            acc[key] = acc.get(key, 0) + n
-        return _from_numerators(acc, den)
-
-    def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2(tuple([(k, -c) for k, c in self.terms]))
-
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + (-other)
+        den = math.lcm(self.den, other.den)
+        acc: dict[tuple[int, int], int] = {}
+        for p in (self, other):
+            scale = den // p.den
+            for key, n in p.nums:
+                acc[key] = acc.get(key, 0) + n * scale
+        return _reduced(acc.items(), den)
 
     def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        if not self.terms or not other.terms:
+        if not self.nums or not other.nums:
             return ZERO
-        if len(other.terms) == 1:
-            return _times_term(self, *other.terms[0])
-        if len(self.terms) == 1:
-            return _times_term(other, *self.terms[0])
-        den_f, den_g = _denominator(self), _denominator(other)
-        g = _numerators(other, den_g)
+        # a single-term operand goes second, and of two single terms, ONE does
+        if len(self.nums) == 1 and (len(other.nums) > 1 or self == ONE):
+            self, other = other, self
+        if len(other.nums) == 1:
+            ((i, j), c), d = other.nums[0], other.den
+            if c == d == 1:  # a monomial x^i y^j: ONE returns self, others shift the keys
+                if not (i or j):
+                    return self
+                return LaurentPoly2(tuple([((i1 + i, j1 + j), n) for (i1, j1), n in self.nums]), self.den)
+            return _reduced([((i1 + i, j1 + j), n * c) for (i1, j1), n in self.nums], self.den * d)
         acc: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in _numerators(self, den_f):
-            for (i2, j2), c2 in g:
-                key = (i1 + i2, j1 + j2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return _from_numerators(acc, den_f * den_g)
+        _accumulate(acc, self, other, 1)
+        return _reduced(acc.items(), self.den * other.den)
 
     def divisible_by_x(self) -> bool:
-        return all(i >= 1 for (i, _), _ in self.terms)
+        return all(i >= 1 for (i, _), _ in self.nums)
 
     def pure_y_part_polynomial(self) -> bool:
         """Whether every x-free term has a non-negative y-exponent, i.e. the
         element lies in Q[y] + x*Q[x, y, y^{-1}]."""
-        return all(j >= 0 for (i, j), _ in self.terms if i == 0)
+        return all(j >= 0 for (i, j), _ in self.nums if i == 0)
 
     def display(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for (i, j), coeff in self.terms:
@@ -107,37 +124,40 @@ class LaurentPoly2:
         return " + ".join(parts)
 
 
+def _reduced(items: Iterable[tuple[tuple[int, int], int]], den: int) -> LaurentPoly2:
+    """The element sum (n / den) x^i y^j over ``items``: drop the zero
+    numerators, sort, and divide the rest and ``den`` by their gcd once."""
+    terms = sorted([(key, n) for key, n in items if n])
+    g = math.gcd(den, *[n for _, n in terms])
+    if g != 1:
+        den //= g
+        terms = [(key, n // g) for key, n in terms]
+    return LaurentPoly2(tuple(terms), den)
+
+
+def _accumulate(acc: dict[tuple[int, int], int], f: LaurentPoly2, g: LaurentPoly2, scale: int) -> None:
+    """Add scale * (numerators of f * g) into ``acc``, term product by term product."""
+    g_nums = g.nums
+    for (i1, j1), n1 in f.nums:
+        n1 *= scale
+        for (i2, j2), n2 in g_nums:
+            key = (i1 + i2, j1 + j2)
+            acc[key] = acc.get(key, 0) + n1 * n2
+
+
+def det2(a11: LaurentPoly2, a12: LaurentPoly2, a21: LaurentPoly2, a22: LaurentPoly2) -> LaurentPoly2:
+    """a11*a22 - a12*a21 in one integer pass: both products accumulate into
+    one dict over the lcm of their denominators, reduced once."""
+    den_plus, den_minus = a11.den * a22.den, a12.den * a21.den
+    den = math.lcm(den_plus, den_minus)
+    acc: dict[tuple[int, int], int] = {}
+    _accumulate(acc, a11, a22, den // den_plus)
+    _accumulate(acc, a12, a21, -(den // den_minus))
+    return _reduced(acc.items(), den)
+
+
 ZERO = LaurentPoly2(())
 ONE = LaurentPoly2.term(0, 0)
-
-
-def _denominator(p: LaurentPoly2) -> int:
-    """Least common denominator of the coefficients."""
-    return math.lcm(*[c.denominator for _, c in p.terms])
-
-
-def _numerators(p: LaurentPoly2, den: int) -> list[tuple[tuple[int, int], int]]:
-    """The terms with integer numerators over the common denominator ``den``."""
-    if den == 1:
-        return [(key, c.numerator) for key, c in p.terms]
-    return [(key, c.numerator * (den // c.denominator)) for key, c in p.terms]
-
-
-def _times_term(p: LaurentPoly2, key: tuple[int, int], coeff: Fraction) -> LaurentPoly2:
-    """p * coeff x^i y^j.  Adding (i, j) to every key keeps the keys sorted and
-    distinct, and a product of nonzero coefficients is nonzero."""
-    i, j = key
-    if coeff == 1:
-        return LaurentPoly2(tuple([((i1 + i, j1 + j), c) for (i1, j1), c in p.terms]))
-    return LaurentPoly2(tuple([((i1 + i, j1 + j), c * coeff) for (i1, j1), c in p.terms]))
-
-
-def _from_numerators(acc: dict[tuple[int, int], int], den: int) -> LaurentPoly2:
-    """The element sum (acc[key] / den) x^i y^j: drop zeros while the values
-    are ints, then reduce each coefficient once."""
-    if den == 1:
-        return LaurentPoly2(tuple([(key, Fraction(n)) for key, n in sorted(acc.items()) if n]))
-    return LaurentPoly2(tuple([(key, Fraction(n, den)) for key, n in sorted(acc.items()) if n]))
 
 
 _TOKEN_RE = re.compile(r"\s*(\d+/\d+|\d+|[xy()+\-*^]|\S)")
@@ -226,7 +246,7 @@ class _Parser:
             raise ValueError(f"polynomial literal needs more than {MAX_TERM_PRODUCTS} term products")
 
     def mul(self, f: LaurentPoly2, g: LaurentPoly2) -> LaurentPoly2:
-        self.charge(max(1, len(f.terms) * len(g.terms)))
+        self.charge(max(1, len(f.nums) * len(g.nums)))
         return _bounded(f * g)
 
     def peek(self) -> str | None:
@@ -240,18 +260,25 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> LaurentPoly2:
-        sign = Fraction(1)
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        result = self.mul(self.parse_term(), LaurentPoly2.term(0, 0, sign))
-        while self.peek() in ("+", "-"):
-            sign = Fraction(1)
+        # one reduced Fraction per key; each signed summand is charged as its
+        # product by the sign, and each coefficient it updates is checked
+        acc: dict[tuple[int, int], Fraction] = {}
+        while True:
+            sign = 1
             while self.peek() in ("+", "-"):
                 if self.take() == "-":
                     sign = -sign
-            result = _bounded(result + self.mul(self.parse_term(), LaurentPoly2.term(0, 0, sign)))
-        return result
+            summand = self.parse_term()
+            self.charge(max(1, len(summand.nums)))
+            if not acc and sign == 1 and self.peek() not in ("+", "-"):
+                return summand  # added to a zero partial sum, it is the sum
+            for key, c in summand.terms:
+                total = acc.get(key, 0) + sign * c
+                if _bits(total) > MAX_COEFF_BITS:
+                    raise _too_long()
+                acc[key] = total
+            if self.peek() not in ("+", "-"):
+                return LaurentPoly2.from_dict(acc)
 
     def parse_term(self) -> LaurentPoly2:
         result = self.parse_factor()
@@ -298,9 +325,9 @@ class _Parser:
         raise ValueError(f"unexpected token {tok!r} in polynomial literal")
 
     def power(self, base: LaurentPoly2, exponent: int) -> LaurentPoly2:
-        if len(base.terms) == 1 and (_bits(base.terms[0][1]) - 1) * abs(exponent) >= MAX_COEFF_BITS:
+        if len(base.nums) == 1 and (_bits(base.terms[0][1]) - 1) * abs(exponent) >= MAX_COEFF_BITS:
             raise _too_long()
-        if exponent >= 0 and len(base.terms) == 1:
+        if exponent >= 0 and len(base.nums) == 1:
             # one pow, charged as the ``exponent`` products of repeated
             # multiplication.  Those are refused at the first product past
             # the budget or past the bit bound, and coefficient bits never
@@ -317,7 +344,7 @@ class _Parser:
             for _ in range(exponent):
                 out = self.mul(out, base)
             return out
-        if len(base.terms) != 1:
+        if len(base.nums) != 1:
             raise ValueError("negative powers only apply to single terms")
         (i, j), coeff = base.terms[0]
         if i != 0:

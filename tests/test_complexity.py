@@ -40,6 +40,7 @@ ROWS = {
     "monoid.divisible_by_all_b_powers(b^3, probe)": (1, (50, 100, 200)),
     "monoid.verify_accp_failure(depth)": (1, (50, 100, 200)),
     "pi_matrix.peel_chain(demo_matrix(), steps)": (1, (50, 100, 200)),
+    "pi_matrix.Mat2.det(four dense n-term entries)": (2, (8, 16, 32)),
     "ore.check_skew_laws(weyl, pairs)": (1, (100, 200, 400)),
     "ore.check_skew_laws(qplane:q=2, pairs)": (1, (100, 200, 400)),
     "ore.check_skew_laws(qtorus:q=3, pairs)": (1, (100, 200, 400)),
@@ -51,7 +52,10 @@ ROWS = {
 def _operations():
     """row -> a function of the size that returns the operation to count,
     with its input built outside the count."""
+    from fractions import Fraction
+
     from factorlab import groups, monoid, ore, pi_matrix
+    from factorlab.xy_poly import LaurentPoly2
     from factorlab.groups import ALPHABET, NormalForm
     from factorlab.words import parse_word
 
@@ -71,6 +75,17 @@ def _operations():
     def peel(steps):
         m = pi_matrix.demo_matrix()
         return lambda: list(pi_matrix.peel_chain(m, steps))
+
+    def det(n):
+        # rational coefficients over several denominators, so the one pass
+        # brings both products to a common denominator
+        m = pi_matrix.Mat2(
+            *(
+                LaurentPoly2.from_dict({(r % 2, j - n // 2): Fraction(1 + j * (r + 1), 1 + (j + r) % 5) for j in range(n)})
+                for r in range(4)
+            )
+        )
+        return m.det
 
     def audit(config):
         return lambda pairs: lambda: ore.check_skew_laws(config, pairs, 1)
@@ -106,6 +121,7 @@ def _operations():
         ),
         "monoid.verify_accp_failure(depth)": lambda depth: lambda: monoid.verify_accp_failure(depth),
         "pi_matrix.peel_chain(demo_matrix(), steps)": peel,
+        "pi_matrix.Mat2.det(four dense n-term entries)": det,
         "ore.check_skew_laws(weyl, pairs)": audit("weyl"),
         "ore.check_skew_laws(qplane:q=2, pairs)": audit("qplane:q=2"),
         "ore.check_skew_laws(qtorus:q=3, pairs)": audit("qtorus:q=3"),

@@ -92,7 +92,9 @@ def _sigma_rows(sd: SigmaDelta, p: Poly, k: int) -> Poly:
         return p
     den = ore_module._denominator(p.coeffs)
     factors, gained = ore_module._sigma_power(sd, k, len(p.coeffs) - 1)
-    row = ore_module._scale_row(ore_module._numerators(p.coeffs, den), factors)
+    row = ore_module._numerators(p.coeffs, den)
+    if factors is not None:
+        row = ore_module._scale_row(row, factors)
     return ore_module._from_numerators(row, den * gained)
 
 
@@ -265,7 +267,9 @@ def test_base_poly_arithmetic():
     assert _sigma_rows(QPLANE, _poly(0, 1, 1), 1) == _poly(0, 2, 4)
     assert ore_module._sigma_power(quantum_plane(3), -2, 2) == ([81, 9, 1], 81)
     assert ore_module._sigma_power(quantum_plane(Fraction(-3, 4)), -1, 2) == ([9, -12, 16], 9)
-    assert ore_module._sigma_power(WEYL, 5, 2) == ([1, 1, 1], 1)
+    assert ore_module._sigma_power(WEYL, 5, 2) == (None, 1)  # q^k = 1: no factors
+    assert ore_module._sigma_power(quantum_plane(-1), 4, 2) == (None, 1)
+    assert ore_module._sigma_power(quantum_plane(-1), 3, 2) == ([1, -1, 1], 1)
     assert base_weight(_poly(5)) == 0
     with pytest.raises(ValueError):
         base_weight(ZERO_POLY)
@@ -780,6 +784,23 @@ def test_qtorus_rows_match_object_references_pair_by_pair():
             config = f"qtorus:q={q}"
             assert check_skew_laws(config, 100, seed) == _former_check_skew_laws(config, 100, seed), (config, seed)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("config", ["weyl", "qtorus:q=1"])
+def test_identity_twists_copy_no_rows(monkeypatch, config):
+    # q^k = 1 is decided once per sigma power, and such rows stay uncopied:
+    # the law's twist and the Laurent pretwist scale no row
+    calls = 0
+    scale_row = ore_module._scale_row
+
+    def counting(row, factors):
+        nonlocal calls
+        calls += 1
+        return scale_row(row, factors)
+
+    monkeypatch.setattr(ore_module, "_scale_row", counting)
+    assert check_skew_laws(config, 1000, 0).ok()
+    assert calls == 0
 
 
 def test_qtorus_audit_counts_a_flipped_twist_in_the_product(monkeypatch):

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,11 @@ def test_matrix_literal():
 def test_xy_poly_guards():
     with pytest.raises(ValueError):
         LaurentPoly2.term(-1, 0)  # x is not invertible
+    # every construction checks the stored form: nonzero numerators over a
+    # positive denominator, reduced by their gcd
+    for num, den in ((0, 1), (2, 4), (1, 0), (1, -1)):
+        with pytest.raises(ValueError):
+            LaurentPoly2((((0, 0), num),), den)
     with pytest.raises(ValueError):
         parse_laurent_poly("x^-1")
     with pytest.raises(ValueError):
@@ -194,39 +203,57 @@ def test_literal_work_is_bounded():
     assert parse_laurent_poly("y^1000") == LaurentPoly2.term(0, 1000)
 
 
-def _ref_element(acc):
-    return LaurentPoly2(tuple(sorted((k, c) for k, c in acc.items() if c != 0)))
+def _neg(p):
+    """-p (``LaurentPoly2`` keeps no negation: no command needs one)."""
+    return LaurentPoly2(tuple((k, -n) for k, n in p.nums), p.den)
+
+
+def _sub(f, g):
+    return f + _neg(g)
+
+
+def _plain(p):
+    """The element as a plain {(i, j): Fraction} dict."""
+    return dict(p.terms)
 
 
 def _ref_sum(f, g, sign=1):
-    acc = dict(f.terms)
-    for key, c in g.terms:
+    acc = dict(f)
+    for key, c in g.items():
         acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return _ref_element(acc)
+    return acc
 
 
 def _ref_product(f, g):
     acc = {}
-    for (i1, j1), c1 in f.terms:
-        for (i2, j2), c2 in g.terms:
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
             acc[(i1 + i2, j1 + j2)] = acc.get((i1 + i2, j1 + j2), Fraction(0)) + c1 * c2
-    return _ref_element(acc)
+    return acc
+
+
+def _random_fraction_dict(rnd):
+    return {
+        (rnd.randint(0, 2), rnd.randint(-2, 2)): Fraction(rnd.randint(-6, 6), rnd.randint(1, 12))
+        for _ in range(rnd.randint(0, 5))
+    }
 
 
 def _random_fraction_laurent(rnd):
-    return LaurentPoly2.from_dict(
-        {
-            (rnd.randint(0, 2), rnd.randint(-2, 2)): Fraction(rnd.randint(-6, 6), rnd.randint(1, 12))
-            for _ in range(rnd.randint(0, 5))
-        }
-    )
+    return LaurentPoly2.from_dict(_random_fraction_dict(rnd))
 
 
 def _same(got, want):
-    assert got == want and hash(got) == hash(want)
-    assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
-    keys = [key for key, _ in got.terms]
+    """``got`` equals the plain-Fraction dict ``want`` term by term, and is
+    stored in the one reduced form: sorted distinct keys, nonzero int
+    numerators, den >= 1 and gcd(den, numerators) = 1."""
+    assert got.terms == tuple(sorted((k, c) for k, c in want.items() if c))
+    assert got == LaurentPoly2.from_dict(want) and hash(got) == hash(LaurentPoly2.from_dict(want))
+    keys = [key for key, _ in got.nums]
     assert keys == sorted(set(keys))
+    assert all(type(n) is int and n != 0 for _, n in got.nums)
+    assert type(got.den) is int and got.den >= 1
+    assert math.gcd(got.den, *[n for _, n in got.nums]) == 1
 
 
 def test_laurent_kernel_matches_plain_fraction_reference():
@@ -235,11 +262,11 @@ def test_laurent_kernel_matches_plain_fraction_reference():
         f, g = _random_fraction_laurent(rnd), _random_fraction_laurent(rnd)
         if rnd.random() < 0.3:
             # g cancels part of f, so sums and differences drop terms
-            g = LaurentPoly2(tuple((k, -c) for k, c in f.terms[::2])) + g
-        _same(f + g, _ref_sum(f, g))
-        _same(f - g, _ref_sum(f, g, sign=-1))
-        _same(f - f, ZERO)
-        _same(f * g, _ref_product(f, g))
+            g = LaurentPoly2.from_dict({k: -c for k, c in f.terms[::2]}) + g
+        _same(f + g, _ref_sum(_plain(f), _plain(g)))
+        _same(_sub(f, g), _ref_sum(_plain(f), _plain(g), sign=-1))
+        _same(_sub(f, f), {})
+        _same(f * g, _ref_product(_plain(f), _plain(g)))
 
 
 def test_single_term_products_match_plain_fraction_reference():
@@ -248,12 +275,38 @@ def test_single_term_products_match_plain_fraction_reference():
     for _ in range(400):
         f = _random_fraction_laurent(rnd)
         t = LaurentPoly2.term(rnd.randint(0, 3), rnd.randint(-4, 3), rnd.choice(coefficients))
-        want = _ref_product(f, t)
+        want = _ref_product(_plain(f), _plain(t))
         _same(f * t, want)
         _same(t * f, want)
-        _same(t * t, _ref_product(t, t))
-        _same(t * ZERO, ZERO)
-        _same(ZERO * t, ZERO)
+        _same(t * t, _ref_product(_plain(t), _plain(t)))
+        _same(t * ZERO, {})
+        _same(ZERO * t, {})
+
+
+def test_product_by_one_returns_the_other_operand():
+    rnd = random.Random(17)
+    one = parse_laurent_poly("1")  # equal to ONE, not the same object
+    for _ in range(50):
+        f = _random_fraction_laurent(rnd)
+        if f.nums:
+            assert f * ONE is f and ONE * f is f and f * one is f and one * f is f
+
+
+def test_one_pass_determinant_matches_plain_fraction_reference():
+    rnd = random.Random(24)
+    zeros = 0
+    for case in range(400):
+        if case % 4 == 0:
+            # rank one, entries u_r * v_c: det = 0 once the products cancel
+            u1, u2, v1, v2 = (_random_fraction_dict(rnd) for _ in range(4))
+            entries = [_ref_product(u, v) for u in (u1, u2) for v in (v1, v2)]
+        else:
+            entries = [_random_fraction_dict(rnd) for _ in range(4)]
+        a11, a12, a21, a22 = entries
+        want = _ref_sum(_ref_product(a11, a22), _ref_product(a12, a21), sign=-1)
+        _same(Mat2(*(LaurentPoly2.from_dict(e) for e in entries)).det(), want)
+        zeros += not any(want.values())
+    assert zeros >= 100
 
 
 def test_power_squares(monkeypatch):
@@ -322,7 +375,7 @@ def _outcome(parser, run):
 
 
 def test_single_term_power_is_charged_as_repeated_products():
-    bases = (X, Y, Y_INV, LaurentPoly2.term(2, -3, Fraction(-3, 7)), LaurentPoly2.term(0, 0, Fraction(5, 2)), -ONE)
+    bases = (X, Y, Y_INV, LaurentPoly2.term(2, -3, Fraction(-3, 7)), LaurentPoly2.term(0, 0, Fraction(5, 2)), _neg(ONE))
     for base in bases:
         for k in range(31):
             fast, slow = _Parser([]), _Parser([])
@@ -340,3 +393,41 @@ def test_single_term_power_refuses_as_repeated_products():
             fast.work = slow.work = spent
             got = _outcome(fast, lambda: fast.power(base, k))
             assert got == _outcome(slow, lambda: _power_by_products(slow, base, k)), (base, k, spent)
+
+
+def _long_sum(terms):
+    """The literal sum of ``1/p*x^(i%7)*y^(i%5-2)`` over the first ``terms``
+    primes p (35 keys), and its plain-Fraction sum per key."""
+    sieve = bytearray([1]) * 60000
+    primes = []
+    for n in range(2, len(sieve)):
+        if sieve[n]:
+            primes.append(n)
+            sieve[n * n :: n] = bytes(len(sieve[n * n :: n]))
+    assert len(primes) >= terms
+    text = " + ".join(f"1/{p}*x^{i % 7}*y^{i % 5 - 2}" for i, p in enumerate(primes[:terms]))
+    want = {}
+    for i, p in enumerate(primes[:terms]):
+        key = (i % 7, i % 5 - 2)
+        want[key] = want.get(key, Fraction(0)) + Fraction(1, p)
+    return text, want
+
+
+def test_a_long_sum_parses_within_the_work_budget():
+    # each summand updates one key's reduced Fraction, so adding a term never
+    # rescales the whole partial sum over the lcm of all its denominators
+    child = subprocess.run(
+        [sys.executable, __file__, "6000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        timeout=10,
+    )
+    assert child.returncode == 0, child.stderr
+
+
+if __name__ == "__main__":
+    text, want = _long_sum(int(sys.argv[1]))
+    assert max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in want.values()) <= MAX_COEFF_BITS
+    got = parse_laurent_poly(text)
+    assert got.terms == tuple(sorted(want.items())), "the long sum differs from the Fraction reference"

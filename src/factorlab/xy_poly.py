@@ -42,11 +42,15 @@ class LaurentPoly2:
     den: int = 1
 
     def __post_init__(self) -> None:
-        for (i, _j), n in self.nums:
-            if i < 0:
+        previous = (-1, 0)  # below every key with a non-negative x-exponent
+        for key, n in self.nums:
+            if key[0] < 0:
                 raise ValueError("x-exponents must be non-negative (x is not invertible)")
             if not n:
                 raise ValueError("zero coefficient stored")
+            if not previous < key:
+                raise ValueError("keys must be sorted and distinct")
+            previous = key
         # math.gcd also refuses a numerator that is not an int
         if self.den < 1 or math.gcd(self.den, *[n for _, n in self.nums]) != 1:
             raise ValueError("numerators must be reduced over a positive denominator")
@@ -270,8 +274,6 @@ class _Parser:
                     sign = -sign
             summand = self.parse_term()
             self.charge(max(1, len(summand.nums)))
-            if not acc and sign == 1 and self.peek() not in ("+", "-"):
-                return summand  # added to a zero partial sum, it is the sum
             for key, c in summand.terms:
                 total = acc.get(key, 0) + sign * c
                 if _bits(total) > MAX_COEFF_BITS:

@@ -41,6 +41,7 @@ ROWS = {
     "monoid.verify_accp_failure(depth)": (1, (50, 100, 200)),
     "pi_matrix.peel_chain(demo_matrix(), steps)": (1, (50, 100, 200)),
     "pi_matrix.Mat2.det(four dense n-term entries)": (2, (8, 16, 32)),
+    "xy_poly.parse_laurent_poly(n-term sum over n keys)": (1, (250, 500, 1000)),
     "ore.check_skew_laws(weyl, pairs)": (1, (100, 200, 400)),
     "ore.check_skew_laws(qplane:q=2, pairs)": (1, (100, 200, 400)),
     "ore.check_skew_laws(qtorus:q=3, pairs)": (1, (100, 200, 400)),
@@ -55,7 +56,7 @@ def _operations():
     from fractions import Fraction
 
     from factorlab import groups, monoid, ore, pi_matrix
-    from factorlab.xy_poly import LaurentPoly2
+    from factorlab.xy_poly import LaurentPoly2, parse_laurent_poly
     from factorlab.groups import ALPHABET, NormalForm
     from factorlab.words import parse_word
 
@@ -86,6 +87,12 @@ def _operations():
             )
         )
         return m.det
+
+    def long_sum(n):
+        # every summand has its own key, so a sum that adds each summand to
+        # the whole partial sum grows as n^2
+        text = " + ".join(f"{i % 5 + 1}/{i % 7 + 2}*x^{i // 32}*y^{i % 32 - 16}" for i in range(n))
+        return lambda: parse_laurent_poly(text)
 
     def audit(config):
         return lambda pairs: lambda: ore.check_skew_laws(config, pairs, 1)
@@ -122,6 +129,7 @@ def _operations():
         "monoid.verify_accp_failure(depth)": lambda depth: lambda: monoid.verify_accp_failure(depth),
         "pi_matrix.peel_chain(demo_matrix(), steps)": peel,
         "pi_matrix.Mat2.det(four dense n-term entries)": det,
+        "xy_poly.parse_laurent_poly(n-term sum over n keys)": long_sum,
         "ore.check_skew_laws(weyl, pairs)": audit("weyl"),
         "ore.check_skew_laws(qplane:q=2, pairs)": audit("qplane:q=2"),
         "ore.check_skew_laws(qtorus:q=3, pairs)": audit("qtorus:q=3"),

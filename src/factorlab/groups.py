@@ -145,7 +145,7 @@ def embed_letters(letters: Iterable[str]) -> GroupElement:
     return embed_runs((letter, len(list(run))) for letter, run in itertools.groupby(letters))
 
 
-def embed(w: Word) -> GroupElement:
+def embed(w: Word | NormalForm) -> GroupElement:
     return embed_runs(w.runs)
 
 
@@ -220,8 +220,7 @@ class NormalForm:
         return " ".join(f"{letter}^{exp}" for letter, exp in self.runs) or "e"
 
 
-def embed_normal_form(nf: NormalForm) -> GroupElement:
-    return embed_runs(nf.runs)
+embed_normal_form = embed
 
 
 def parse_membership(g: GroupElement) -> Optional[NormalForm]:

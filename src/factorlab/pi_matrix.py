@@ -11,17 +11,10 @@ The ring fails to be atomic, and the failure has a hands-on witness: any
 member whose entire second column is divisible by x and whose determinant is
 nonzero factors as diag(1, y) times another member of the same shape (scale
 the second row by 1/y).  diag(1, y) lies in the ring but its inverse does
-not, so it is a nonunit, and the peeling step can be repeated forever.  Each
-claim is checked once: ``peel`` certifies every step, and ``peel_chain`` the
-nonunit cofactor, which is the same matrix at every step.
-
-Since ``m = diag(1, y) * rest``, ``det(m) = y * det(rest)``, and y is a unit
-of Q[x, y, y^{-1}], so ``det(m) != 0`` exactly when ``det(rest) != 0``.
-``peel`` therefore forms one determinant per step, that of ``rest``, and
-multiplies by the monomials ``1``, ``y`` and ``y^-1`` in O(terms).
-``Mat2.det`` is one integer pass (:func:`xy_poly.det2`): both products of
-``a11*a22 - a12*a21`` accumulate their numerators into one dict, which is
-reduced by one gcd, so a determinant builds one element and no ``Fraction``.
+not, so it is a nonunit, and the peeling step can be repeated forever.
+``peel_chain`` certifies the whole chain by one check on its start matrix and
+the lemma in its docstring; ``tests/test_pi_matrix.py`` keeps the step-by-step
+certificate as a reference.
 """
 
 from __future__ import annotations
@@ -29,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .xy_poly import LaurentPoly2, ONE, ZERO, det2, parse_laurent_poly
+from .xy_poly import LaurentPoly2, ONE, ZERO, parse_laurent_poly
 
 Y = LaurentPoly2.term(0, 1)
 Y_INV = LaurentPoly2.term(0, -1)
+_MINUS_ONE = LaurentPoly2.term(0, 0, -1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,8 +50,7 @@ class Mat2:
         )
 
     def det(self) -> LaurentPoly2:
-        """a11*a22 - a12*a21 in one integer pass (:func:`xy_poly.det2`)."""
-        return det2(self.a11, self.a12, self.a21, self.a22)
+        return self.a11 * self.a22 + self.a12 * self.a21 * _MINUS_ONE
 
     def display(self) -> str:
         e = [p.display() for p in self.entries()]
@@ -83,29 +76,6 @@ def is_special_form(m: Mat2) -> bool:
     return m.a12.divisible_by_x() and m.a22.divisible_by_x() and not m.det().is_zero()
 
 
-def peel(m: Mat2) -> tuple[Mat2, Mat2]:
-    """Split a special-form matrix as diag(1, y) * (same shape).
-
-    Returns (PEEL_UNIT, rest), rest being m with its second row scaled by 1/y,
-    so det(m) = y * det(rest).  m is refused with ValueError unless its second
-    column is in xS (checked first, as it is cheap) and rest is special-form;
-    y is a unit, so det(rest) != 0 exactly when det(m) != 0, and det(rest) is
-    the one determinant formed.  Before returning it also checks that rest is
-    in the ring and that PEEL_UNIT * rest == m exactly.  ``peel_chain`` checks
-    that PEEL_UNIT is a nonunit.
-    """
-    refusal = "peel requires the special form (second column in xS, det != 0)"
-    if not (m.a12.divisible_by_x() and m.a22.divisible_by_x()):
-        raise ValueError(refusal)
-    rest = Mat2(m.a11, m.a12, m.a21 * Y_INV, m.a22 * Y_INV)
-    if not is_special_form(rest):
-        raise ValueError(refusal)
-    checks = (in_ring(rest), PEEL_UNIT * rest == m)
-    if not all(checks):  # pragma: no cover - exact arithmetic
-        raise AssertionError(f"peel certificate failed: {checks}")
-    return PEEL_UNIT, rest
-
-
 @dataclass(frozen=True, slots=True)
 class PeelStep:
     index: int
@@ -114,14 +84,17 @@ class PeelStep:
 
 
 def peel_chain(m: Mat2, steps: int) -> Iterator[PeelStep]:
-    """Iterate the peeling; every step is certified before it is yielded.
+    """Yield m = diag(1, y)^k * rest_k for k = 1..steps, certified once.
 
-    The cofactor is PEEL_UNIT at every step, so its nonunit claim (it is in
-    the ring, its inverse is not) is checked once, before the first step.
-    Each remainder's membership, special shape, nonzero determinant and
-    exact product are checked inside ``peel``, which forms one determinant a
-    step, the remainder's, in one integer pass: scaling by ``y^-1`` costs
-    O(terms), and the rest is that determinant and one 2x2 product.
+    Lemma: for special-form m, rest_k = diag(1, y^-k) * m (the second row
+    times y^-k) is in the ring and special-form, det(rest_k) = y^-k * det(m)
+    != 0, and diag(1, y) * rest_k = rest_{k-1}, with rest_0 = m.  Proof: y is
+    a unit, and a power of y shifts y-exponents only, so it keeps every term
+    nonzero and every x-exponent; the second column stays in xS.
+
+    So ``m`` is checked once, before the first step: in the ring, special-form
+    (its determinant is the only one the chain forms), and PEEL_UNIT a
+    nonunit.  Each step shifts the second row's keys by ``y^-1``, in O(terms).
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -129,10 +102,12 @@ def peel_chain(m: Mat2, steps: int) -> Iterator[PeelStep]:
         raise ValueError("starting matrix is not in the ring")
     if not in_ring(PEEL_UNIT) or in_ring(PEEL_UNIT_INVERSE):  # pragma: no cover - fixed matrices
         raise AssertionError("diag(1, y) is not a nonunit of the ring")
-    current = m
+    if not is_special_form(m):
+        raise ValueError("peel requires the special form (second column in xS, det != 0)")
+    a21, a22 = m.a21, m.a22
     for k in range(1, steps + 1):
-        unit, current = peel(current)
-        yield PeelStep(k, unit, current)
+        a21, a22 = a21 * Y_INV, a22 * Y_INV
+        yield PeelStep(k, PEEL_UNIT, Mat2(m.a11, m.a12, a21, a22))
 
 
 def power(m: Mat2, k: int) -> Mat2:

@@ -10,8 +10,8 @@ Storage (rational arithmetic in integers, reduced once by a gcd: Knuth,
 integer terms over one denominator ``den >= 1``, with no zero numerator and
 ``gcd(den, numerators) = 1``, so each element has exactly one stored form
 and ``==`` and ``hash`` compare plain ints.  Every construction checks that
-form.  ``+``, ``*`` and :func:`det2` accumulate numerators in one dict over
-one denominator, drop the zeros and divide by one gcd at the end.  A product
+form.  ``+`` and ``*`` accumulate numerators in one dict over one
+denominator, drop the zeros and divide by one gcd at the end.  A product
 of an m- and an n-term element costs m*n int products; a zero operand returns
 at once, ``ONE`` returns the other operand, and a single-term operand
 ``c x^i y^j`` costs O(n): the other operand's keys shift by (i, j), which keeps
@@ -101,7 +101,10 @@ class LaurentPoly2:
                 return LaurentPoly2(tuple([((i1 + i, j1 + j), n) for (i1, j1), n in self.nums]), self.den)
             return _reduced([((i1 + i, j1 + j), n * c) for (i1, j1), n in self.nums], self.den * d)
         acc: dict[tuple[int, int], int] = {}
-        _accumulate(acc, self, other, 1)
+        for (i1, j1), n1 in self.nums:
+            for (i2, j2), n2 in other.nums:
+                key = (i1 + i2, j1 + j2)
+                acc[key] = acc.get(key, 0) + n1 * n2
         return _reduced(acc.items(), self.den * other.den)
 
     def divisible_by_x(self) -> bool:
@@ -139,27 +142,6 @@ def _reduced(items: Iterable[tuple[tuple[int, int], int]], den: int) -> LaurentP
     return LaurentPoly2(tuple(terms), den)
 
 
-def _accumulate(acc: dict[tuple[int, int], int], f: LaurentPoly2, g: LaurentPoly2, scale: int) -> None:
-    """Add scale * (numerators of f * g) into ``acc``, term product by term product."""
-    g_nums = g.nums
-    for (i1, j1), n1 in f.nums:
-        n1 *= scale
-        for (i2, j2), n2 in g_nums:
-            key = (i1 + i2, j1 + j2)
-            acc[key] = acc.get(key, 0) + n1 * n2
-
-
-def det2(a11: LaurentPoly2, a12: LaurentPoly2, a21: LaurentPoly2, a22: LaurentPoly2) -> LaurentPoly2:
-    """a11*a22 - a12*a21 in one integer pass: both products accumulate into
-    one dict over the lcm of their denominators, reduced once."""
-    den_plus, den_minus = a11.den * a22.den, a12.den * a21.den
-    den = math.lcm(den_plus, den_minus)
-    acc: dict[tuple[int, int], int] = {}
-    _accumulate(acc, a11, a22, den // den_plus)
-    _accumulate(acc, a12, a21, -(den // den_minus))
-    return _reduced(acc.items(), den)
-
-
 ZERO = LaurentPoly2(())
 ONE = LaurentPoly2.term(0, 0)
 
@@ -188,8 +170,12 @@ MAX_NESTING = 100
 
 #: Most term products one literal may cost: every product of an ``m``-term
 #: and an ``n``-term polynomial counts ``max(1, m*n)``, and a negative power
-#: ``t^-k`` counts ``k``.  At a few microseconds per term product this keeps
-#: a literal to about a second.
+#: ``t^-k`` counts ``k``.  It caps how many term products a literal forms,
+#: not what they cost: each one multiplies numerators over the operand's
+#: common denominator, which may have many thousand bits, so no time bound
+#: follows.  The ``FOUND:`` line on this budget in CHANGES.md measured a
+#: literal within every bound, ``(f)*(1 + y^k)(1 + y^2k)...`` with ``f`` a
+#: sum of k terms over distinct 2000-bit denominators, at 102 s for k = 128.
 MAX_TERM_PRODUCTS = 10**5
 
 #: Largest numerator or denominator, in bits, of any coefficient a literal

@@ -253,6 +253,16 @@ def test_divisible_by_all_b_powers_probe_reported():
     assert result.probe == 9
 
 
+def test_default_b_power_probe_agrees_with_a_deeper_one():
+    # the README calls the default probe (b-count + 4) sufficient: a probe 26
+    # deeper finds the same answer on every canonical form of length <= 10
+    forms = list(enumerate_elements(10))
+    assert len(forms) > 1000
+    for x in forms:
+        default, deep = divisible_by_all_b_powers(x), divisible_by_all_b_powers(x, x.b_count + 30)
+        assert (default.forever, default.exponent, default.cofactor) == (deep.forever, deep.exponent, deep.cofactor), x
+
+
 def _count_group_work(monkeypatch):
     """Count free-group run pushes and embeddings of letter sequences."""
     counts = {"push": 0, "letters": 0}

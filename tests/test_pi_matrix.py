@@ -13,7 +13,6 @@ from factorlab.pi_matrix import (
     in_ring,
     is_special_form,
     parse_matrix,
-    peel,
     peel_chain,
     power,
 )
@@ -58,6 +57,21 @@ def random_poly(rnd, terms=2):
     return acc
 
 
+def peel(m):
+    """One certified peeling step, the per-step reference for ``peel_chain``:
+    split a special-form m as diag(1, y) * rest, rest being m with its second
+    row scaled by 1/y, and check that rest is in the ring and special-form
+    and that PEEL_UNIT * rest == m."""
+    refusal = "peel requires the special form (second column in xS, det != 0)"
+    if not (m.a12.divisible_by_x() and m.a22.divisible_by_x()):
+        raise ValueError(refusal)
+    rest = Mat2(m.a11, m.a12, m.a21 * Y_INV, m.a22 * Y_INV)
+    if not is_special_form(rest):
+        raise ValueError(refusal)
+    assert in_ring(rest) and PEEL_UNIT * rest == m
+    return PEEL_UNIT, rest
+
+
 def test_peel_example():
     unit, rest = peel(demo_matrix())
     assert unit == PEEL_UNIT
@@ -68,10 +82,41 @@ def test_peel_example():
 
 def test_peel_rejects_non_special_input():
     with pytest.raises(ValueError, match="second column in xS"):
-        peel(IDENTITY)
-    # second column in xS but det = x - x = 0: refused through det(rest) = det(m)/y
+        list(peel_chain(IDENTITY, 1))
+    # second column in xS but det = x - x = 0
     with pytest.raises(ValueError, match="det != 0"):
-        peel(Mat2(ONE, X, ONE, X))
+        list(peel_chain(Mat2(ONE, X, ONE, X), 1))
+    # refused before the first step, whatever the number of steps
+    with pytest.raises(ValueError, match="det != 0"):
+        next(peel_chain(Mat2(ONE, X, ONE, X), 50))
+
+
+def _random_special_forms(count):
+    rnd = random.Random(25)
+    found = []
+    while len(found) < count:
+        m = Mat2(
+            LaurentPoly2.from_dict(_random_fraction_dict(rnd)),
+            LaurentPoly2.from_dict(_random_fraction_dict(rnd)) * X,
+            LaurentPoly2.from_dict(_random_fraction_dict(rnd)),
+            LaurentPoly2.from_dict(_random_fraction_dict(rnd)) * X,
+        )
+        if is_special_form(m):
+            found.append(m)
+    return found
+
+
+def test_peel_chain_matches_the_per_step_reference():
+    # the closed form rest_k = diag(1, y^-k) * m against peeling one step at
+    # a time, each step certified on its own, at every k = 1..50
+    golden = parse_matrix("1/2 + 3/7*y; 2/3*x; -5/4*y^-1; 1/6*x*y - 1/9*x")
+    for start in [demo_matrix(), golden, *_random_special_forms(20)]:
+        current = start
+        for step in peel_chain(start, 50):
+            unit, current = peel(current)
+            assert (step.cofactor, step.remainder) == (unit, current), step.index
+            assert step.remainder.det() == start.det() * LaurentPoly2.term(0, -step.index)
+        assert step.index == 50
 
 
 def test_peel_chain_ten_steps():
@@ -86,7 +131,6 @@ def test_peel_chain_ten_steps():
 
 
 def test_peel_chain_forms_each_product_once(monkeypatch):
-    start = demo_matrix()
     products = 0
     multiply = LaurentPoly2.__mul__
 
@@ -96,12 +140,14 @@ def test_peel_chain_forms_each_product_once(monkeypatch):
         return multiply(p, q)
 
     monkeypatch.setattr(LaurentPoly2, "__mul__", counting)
-    assert len(list(peel_chain(start, 25))) == 25
-    # per step: two monomial row scalings, one determinant, one 2x2 product
-    assert products <= 12 * 25
+    for steps in (1, 7, 25):
+        products = 0
+        assert len(list(peel_chain(demo_matrix(), steps))) == steps
+        # per step: two monomial row shifts; per chain: the determinant's three
+        assert products <= 2 * steps + 3
 
 
-def test_peel_chain_forms_one_determinant_per_step(monkeypatch):
+def test_peel_chain_forms_one_determinant_per_chain(monkeypatch):
     calls = 0
     det = Mat2.det
 
@@ -114,7 +160,7 @@ def test_peel_chain_forms_one_determinant_per_step(monkeypatch):
     for steps in (1, 7, 25):
         calls = 0
         assert len(list(peel_chain(demo_matrix(), steps))) == steps
-        assert calls == steps
+        assert calls == 1
 
 
 def power_of_y_inv(k):
@@ -291,7 +337,7 @@ def test_product_by_one_returns_the_other_operand():
             assert f * ONE is f and ONE * f is f and f * one is f and one * f is f
 
 
-def test_one_pass_determinant_matches_plain_fraction_reference():
+def test_determinant_matches_plain_fraction_reference():
     rnd = random.Random(24)
     zeros = 0
     for case in range(400):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .groups import NormalForm, left_quotient, right_quotient
+from .groups import _CYCLE, NormalForm, embed, left_quotient, right_quotient
 from .words import MAX_LETTERS, Word
 
 
@@ -219,9 +219,10 @@ def length_set(x: NormalForm, cap: int) -> LengthSetReport:
 class AccpWitness:
     """Certified strictly ascending chain of principal right ideals.
 
-    ``chain[k]`` is ``(b^k a^2, cofactor)`` where each element equals its
-    successor times the cofactor, while no division in the other direction
-    exists.  The cofactor stored with entry 0 links it to nothing and is kept
+    ``chain[k]`` is ``(b^k a^2, b)``: each element equals its successor times
+    the cofactor ``b``, while no division in the other direction exists.  One
+    check at k = 0 and the lemma in :func:`verify_accp_failure` certify every
+    entry.  The cofactor stored with entry 0 links it to nothing and is kept
     only to make the entries uniform.
     """
 
@@ -233,33 +234,32 @@ def verify_accp_failure(depth: int) -> AccpWitness:
     """Build and certify the chain witnessing the failure of the ascending
     chain condition on principal right ideals, to the requested depth.
 
-    For each k: ``b^k a^2 = (b^{k+1} a^2) * b`` holds (one exact division
-    succeeds) while ``b^{k+1} a^2`` is not a right multiple of ``b^k a^2``
-    (the reverse division fails).  Any check failing raises
-    :class:`ChainVerificationError`; with a correct oracle it never fires.
+    One check at k = 0, by both oracles: the group embedding finds
+    ``a^2 = (b a^2) * b`` and no ``v`` with ``a^2 * v = b a^2``, and the
+    rewriting normalizer multiplies ``(b a^2) * b`` back to ``a^2``.  Any
+    check failing raises :class:`ChainVerificationError`; with a correct
+    oracle it never fires.
 
-    The elements come from the rewriting normalizer and the divisions from
-    the group embedding, and the cofactor is checked by multiplying back
-    with the rewriting normalizer.  Both read the canonical forms run by
-    run, so each step costs O(1) at any k.
+    Lemma: for every k, ``b^k a^2 = (b^{k+1} a^2) * b``, and ``b^{k+1} a^2``
+    is not a right multiple of ``b^k a^2``.  The identity is the checked one
+    multiplied on the left by ``b^k``.  The monoid embeds in a group, so it
+    is left-cancellative: ``b^k a^2 * v = b^{k+1} a^2`` would give
+    ``a^2 * v = b a^2``, which the check refutes.  Each ``b^k a^2`` is the
+    canonical tuple ``NormalForm(k, (), 2)``, so the chain costs O(depth)
+    to build and nothing to certify; ``tests/test_monoid.py`` keeps the
+    step-by-step certificate as a cross-check at every k <= 200.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    cofactor_b = _normal_form([("b", 1)])
-    chain: list[tuple[NormalForm, NormalForm]] = []
-    elements = [_normal_form([("b", k), ("a", 2)]) for k in range(depth + 1)]
-    for k in range(depth):
-        g_k, g_next = elements[k], elements[k + 1]
-        inclusion = left_quotient(g_next, g_k)
-        if inclusion != cofactor_b:
-            raise ChainVerificationError(f"expected cofactor b at step {k}, got {inclusion}")
-        if multiply(g_next, inclusion) != g_k:
-            raise ChainVerificationError(f"cofactor certificate failed at step {k}")
-        if left_quotient(g_k, g_next) is not None:
-            raise ChainVerificationError(f"chain not strict at step {k}")
-    for element in elements:
-        chain.append((element, cofactor_b))
-    return AccpWitness(depth, tuple(chain))
+    cofactor_b, aa, b_aa = NormalForm(1, (), 0), NormalForm(0, (), 2), NormalForm(1, (), 2)
+    inclusion = left_quotient(b_aa, aa)
+    if inclusion != cofactor_b:
+        raise ChainVerificationError(f"expected cofactor b, got {inclusion}")
+    if multiply(b_aa, inclusion) != aa:
+        raise ChainVerificationError("cofactor certificate failed")
+    if left_quotient(aa, b_aa) is not None:
+        raise ChainVerificationError("chain not strict")
+    return AccpWitness(depth, tuple((NormalForm(k, (), 2), cofactor_b) for k in range(depth + 1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,30 +276,61 @@ def divisible_by_all_b_powers(x: NormalForm, probe: Optional[int] = None) -> BPo
     """Decide membership of x in every right ideal generated by a b-power.
 
     x lies in all of them iff x = u * a^2 * b^i for some i, because a^2
-    absorbs matching b-powers on both sides; the certificate is verified by
-    multiplication.  Since the b-count is additive, any such i is at most the
-    b-count of x, so the default probe (b-count + 4) cannot miss a witness;
-    the probe depth is still reported rather than silently trusted.  When no
-    witness exists the result carries the largest n <= probe with x in M*b^n.
+    absorbs matching b-powers on both sides; the least such i <= probe is
+    returned, and the certificate is verified by multiplying back with the
+    rewriting normalizer.  When no witness exists the result carries the
+    largest n <= probe with x in M*b^n.  The probe is a stated cap and is
+    always reported.
 
-    Every division takes canonical forms, which the group embedding reads
-    run by run, so the whole probe costs O((probe + 1) * runs of x).
+    Lemma (where to look).  Let ``embed(x) = (w, e)`` and let ``s`` be the
+    signed letter ``_CYCLE[e mod 4]``, the image of b behind ``a^e``.  In
+    the group, ``x * (a^2 b^i)^-1 = (w s^-i, e - 2)`` and
+    ``x * b^-n = (w s^-n, e)``.  Let p be the exponent of w's last run in
+    units of s, or 0 when that run is on the other letter or w is empty.
+
+    * Only the last run of ``w s^-i`` depends on i, through its sign and
+      whether it vanishes, so membership is constant on ``i < p``, at
+      ``i = p`` and on ``i > p``; the same holds for ``w s^-n``.
+    * Take v = ``w s^-p``, which does not end on s's letter.  If
+      ``y = (v s^-1, e - 2)`` lies in M, its last run walks to the orbit
+      position of its a-count, so the canonical word of y is
+      ``... b^m a^(4q)`` or ``b^m a^(4q)`` with m >= 1.  That equals
+      ``... a^(4q) b^m`` (``aaaab = baaaa``), so ``y * b^-1 = (v, e - 2)``
+      lies in M as well: a witness at ``i = p + 1``, hence at any
+      ``i > p``, gives one at ``i = p``.  In the same way ``(v s, e)`` in M
+      gives ``(v, e)`` in M: membership in ``M*b^(p-1)`` gives it in
+      ``M*b^p``.
+
+    Hence the least witness lies in ``{0, p}`` and is at most
+    ``max(p, 0) <= b-count``, since no free run outgrows the b-count: the
+    default probe (b-count + 4) cannot miss it.  Membership in ``M*b^n``
+    holds for n from 0 up to some N, and when N < probe, N + 1 starts a new
+    region, so N = p: the largest n <= probe lies in ``{probe, p}``.  With
+    p clipped to ``[0, probe]`` (a clipped candidate shares a region with
+    0 or with probe), at most four divisions decide x, each O(runs),
+    whatever the b-count; ``tests/test_monoid.py`` keeps the probe of every
+    i as a cross-check.
     """
     if probe is None:
         probe = x.b_count + 4
     if probe < 0:
         raise ValueError("probe must be non-negative")
-    for i in range(probe + 1):
+    g = embed(x)
+    letter, sign = _CYCLE[g.shift % 4]
+    last_letter, last_exp = g.free.runs[-1] if g.free.runs else (letter, 0)
+    p = sign * last_exp if last_letter == letter else 0
+    clipped = min(max(p, 0), probe)
+    for i in sorted({0, clipped}):
         cofactor = right_quotient(x, NormalForm(0, ((2, i),), 0) if i else NormalForm(0, (), 2))
         if cofactor is not None:
             certified = multiply(multiply(cofactor, NormalForm(0, (), 2)), NormalForm(i, (), 0))
             if certified != x:
                 raise ChainVerificationError("b-power certificate failed to multiply back")
             return BPowerDivisibility(True, i, cofactor, probe)
-    for n in range(probe, -1, -1):
+    for n in sorted({probe, clipped}, reverse=True):
         if right_quotient(x, NormalForm(n, (), 0)) is not None:
             return BPowerDivisibility(False, n, None, probe)
-    raise ChainVerificationError("element not divisible by b^0")  # pragma: no cover
+    raise ChainVerificationError("no candidate b-power right-divides x")  # pragma: no cover
 
 
 def right_length_refutation_triples(bound: int) -> list[tuple[NormalForm, NormalForm, NormalForm]]:

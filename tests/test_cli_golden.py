@@ -7,7 +7,8 @@ commands print exactly the recorded bytes.
 rows (README commands and audits) and before the accp, b-power and peeling
 certificates ran at the level of runs (``CHAINS``; the two rational
 ``pi-demo`` lines were recorded before ``LaurentPoly2`` stored integer
-numerators), and before the code that
+numerators, the two ``b^1000000`` lines before the accp chain and the b-power
+witness were certified by one check and a lemma), and before the code that
 no command reaches was deleted (``BRANCHES``, one command per normal branch
 that the other lines miss).  The README commands are
 read from the README itself, so a command added there without a recorded
@@ -33,6 +34,9 @@ AUDITS = (
 CHAINS = (
     'in-all-sbn "b b b"',
     'in-all-sbn "a^2 b^3" --json',
+    # a million b's: the answer is read off the embedding, not probed step by step
+    'in-all-sbn "b^1000000"',
+    'in-all-sbn "a^2 b^1000000" --json',
     "accp --depth 3 --json",
     "pi-demo --steps 3 --json",
     'pi-demo --matrix "1; x; 1; x" --steps 3',  # det 0: refused, exit 2
@@ -49,6 +53,8 @@ BRANCHES = (
     'alg deg "0"',  # the zero element: -inf
     'alg mul "1/2 * a" "b" --char 7',
     'alg divides "1 * a" "0"',
+    # a solved linear system: the only line that reaches the exact solve
+    'alg divides "1 * a + 1 * b" "1 * a^2 + 1 * a b + 1 * b a + 1 * b^2" --cap 3',
     "growth --family free --n-max 10 --gnuplot",
     'normalize "a b" --json',  # a group element with a free part
 )

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from factorlab import groups
+from factorlab import groups, monoid
 from factorlab.groups import ALPHABET, NormalForm
 from factorlab.monoid import (
     CANDIDATE_LENGTH_FUNCTIONS,
+    BPowerDivisibility,
     divisible_by_all_b_powers,
     enumerate_elements,
     is_atom,
@@ -215,6 +216,48 @@ def test_length_set_superadditive():
                     assert m + n in lxy
 
 
+def accp_reference(depth):
+    """Reference for ``verify_accp_failure``: certify every step k < depth on
+    its own, with elements from the rewriting normalizer, the cofactor and
+    the strictness from the group embedding, and the cofactor multiplied
+    back by the rewriting normalizer."""
+    cofactor_b = normalize(w("b"))
+    elements = [normalize(w(f"b^{k} a^2")) for k in range(depth + 1)]
+    for k in range(depth):
+        g_k, g_next = elements[k], elements[k + 1]
+        inclusion = groups.left_quotient(g_next, g_k)
+        assert inclusion == cofactor_b, k
+        assert multiply(g_next, inclusion) == g_k, k
+        assert groups.left_quotient(g_k, g_next) is None, k
+    return tuple((element, cofactor_b) for element in elements)
+
+
+def b_power_reference(x, probe=None):
+    """Reference for ``divisible_by_all_b_powers``: try every witness
+    exponent i <= probe, then every n from probe down, one division each."""
+    if probe is None:
+        probe = x.b_count + 4
+    for i in range(probe + 1):
+        cofactor = groups.right_quotient(x, NormalForm(0, ((2, i),), 0) if i else AA)
+        if cofactor is not None:
+            assert multiply(multiply(cofactor, AA), NormalForm(i, (), 0)) == x
+            return BPowerDivisibility(True, i, cofactor, probe)
+    for n in range(probe, -1, -1):
+        if groups.right_quotient(x, NormalForm(n, (), 0)) is not None:
+            return BPowerDivisibility(False, n, None, probe)
+    raise AssertionError("x is not divisible by b^0")
+
+
+def random_form(rng):
+    """A canonical form with 0 to 12 blocks and b-runs up to 40."""
+    head_b = rng.choice((0, rng.randint(1, 40)))
+    blocks = []
+    for i in range(rng.randint(0, 12)):
+        a_runs = (1, 2, 3) if i == 0 and head_b == 0 else (1, 3)
+        blocks.append((rng.choice(a_runs), rng.randint(1, 40)))
+    return NormalForm(head_b, tuple(blocks), rng.randint(0, 5))
+
+
 def test_accp_witness_depth_one():
     witness = verify_accp_failure(1)
     assert [(e.display(), c.display()) for e, c in witness.chain] == [
@@ -229,6 +272,13 @@ def test_accp_witness_depth_20():
     assert len(witness.chain) == 21
     # spot check the strictness at the bottom: a^2 does not right-divide b a^2
     assert groups.left_quotient(w("a a"), w("b a a")) is None
+
+
+def test_accp_chain_matches_the_per_step_reference():
+    # the reference certifies every step k = 0..199 on its own
+    assert verify_accp_failure(200).chain == accp_reference(200)
+    for depth in (1, 2, 7):
+        assert verify_accp_failure(depth).chain == accp_reference(depth)
 
 
 def test_accp_rejects_bad_depth():
@@ -253,6 +303,25 @@ def test_divisible_by_all_b_powers_probe_reported():
     assert result.probe == 9
 
 
+def test_b_power_test_matches_the_probing_reference_up_to_12():
+    forms = list(enumerate_elements(12))
+    assert len(forms) == 3314
+    for x in forms:
+        result = divisible_by_all_b_powers(x)
+        assert result == b_power_reference(x), x
+        # the docstring's bound on the least witness
+        assert not result.forever or result.exponent <= x.b_count, x
+
+
+def test_b_power_test_matches_the_probing_reference_on_random_forms():
+    rng = random.Random(26)
+    for _ in range(1000):
+        x = random_form(rng)
+        probe = rng.randint(0, 60)
+        assert divisible_by_all_b_powers(x) == b_power_reference(x), x
+        assert divisible_by_all_b_powers(x, probe) == b_power_reference(x, probe), (x, probe)
+
+
 def test_default_b_power_probe_agrees_with_a_deeper_one():
     # the README calls the default probe (b-count + 4) sufficient: a probe 26
     # deeper finds the same answer on every canonical form of length <= 10
@@ -261,6 +330,22 @@ def test_default_b_power_probe_agrees_with_a_deeper_one():
     for x in forms:
         default, deep = divisible_by_all_b_powers(x), divisible_by_all_b_powers(x, x.b_count + 30)
         assert (default.forever, default.exponent, default.cofactor) == (deep.forever, deep.exponent, deep.cofactor), x
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of the named ``monoid`` functions."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(monoid, name, counting(name, getattr(monoid, name)))
+    return counts
 
 
 def _count_group_work(monkeypatch):
@@ -281,29 +366,38 @@ def _count_group_work(monkeypatch):
     return counts
 
 
-def test_accp_group_work_is_linear_in_depth(monkeypatch):
-    # each step runs two divisions of two-run canonical forms: a bounded
-    # number of pushes, never a re-embedding of b^k a^2 letter by letter
-    counts = _count_group_work(monkeypatch)
-    for depth in (50, 100, 200):
-        counts.update(push=0, letters=0)
+def test_accp_certificate_is_one_check_at_every_depth(monkeypatch):
+    calls = _count_calls(monkeypatch, "left_quotient", "multiply")
+    work = _count_group_work(monkeypatch)
+    pushes = set()
+    for depth in (1, 50, 200, 3200):
+        calls.update(left_quotient=0, multiply=0)
+        work.update(push=0, letters=0)
         assert verify_accp_failure(depth).depth == depth
-        assert 0 < counts["push"] <= 6 * depth
-        assert counts["letters"] == 0
+        assert calls == {"left_quotient": 2, "multiply": 1}, depth
+        assert work["letters"] == 0
+        pushes.add(work["push"])
+    assert len(pushes) == 1  # the same group work at every depth
 
 
-def test_b_power_probe_group_work_is_linear(monkeypatch):
-    counts = _count_group_work(monkeypatch)
-    for k in (50, 100, 200):
+def test_b_power_test_makes_a_bounded_number_of_divisions(monkeypatch):
+    calls = _count_calls(monkeypatch, "right_quotient")
+    work = _count_group_work(monkeypatch)
+    pushes = {}
+    for k in (50, 200, 10**4, 10**6):
         results = []
-        for x in (NormalForm(0, ((2, k),), 0), NormalForm(k, (), 0), NormalForm(k, ((3, k), (1, 2)), 5)):
-            counts.update(push=0, letters=0)
+        shapes = (NormalForm(0, ((2, k),), 0), NormalForm(k, (), 0), NormalForm(k, ((3, k), (1, 2)), 5))
+        for shape, x in enumerate(shapes):
+            calls["right_quotient"] = 0
+            work.update(push=0, letters=0)
             results.append(divisible_by_all_b_powers(x))
-            assert counts["push"] <= 6 * (results[-1].probe + 1) * len(x.runs)
-            assert counts["letters"] == 0
-        # a^2 b^k finds its witness after k + 1 probes; b^k runs both loops
+            assert calls["right_quotient"] <= 4, (k, x)
+            assert work["letters"] == 0
+            pushes.setdefault(shape, set()).add(work["push"])
+        # a^2 b^k has its witness at i = k; b^k is divisible by b^k and no further
         assert results[0].forever and results[0].exponent == k
         assert not results[1].forever and results[1].exponent == k
+    assert all(len(counts) == 1 for counts in pushes.values())  # the same group work at every k
 
 
 def test_refutation_triples_are_verified_factorizations():

@@ -29,6 +29,8 @@ from typing import Iterable, Optional, Union
 
 from . import monoid
 from .groups import ALPHABET, NormalForm, left_quotient
+from .words import parse_word
+from .xy_poly import parse_rational
 
 Scalar = Union[Fraction, int]
 
@@ -84,14 +86,14 @@ class Field:
         return Fraction(1) / x
 
     def parse(self, text: str) -> Scalar:
+        """The rational :func:`~factorlab.xy_poly.parse_rational` reads, in
+        lowest terms, mapped into the field."""
         text = text.strip()
+        value = parse_rational(text)
+        if not self.modulus:
+            return value
         try:
-            if self.modulus:
-                if "/" in text:
-                    num, den = text.split("/", 1)
-                    return self.mul(self.from_int(int(num)), self.inv(self.from_int(int(den))))
-                return self.from_int(int(text))
-            return Fraction(text)
+            return self.mul(self.from_int(value.numerator), self.inv(self.from_int(value.denominator)))
         except ZeroDivisionError:
             raise ValueError(f"coefficient {text!r} divides by zero") from None
 
@@ -320,8 +322,6 @@ def parse_element(text: str, field: Field) -> AlgebraElement:
             coeff = field.parse(coeff_text)
         else:
             coeff, word_text = field.one, part
-        from .words import parse_word  # local import to keep module deps one-way
-
         nf = monoid.normalize(parse_word(word_text.strip(), ALPHABET))
         items.append((nf, coeff))
     return from_terms(field, items)

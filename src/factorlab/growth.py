@@ -8,8 +8,9 @@ canonical normalizer with length-minimal normal forms identifies them.
 The built-in families are counted by proven formulas, length by length:
 ``2^n`` free words, ``n + 1`` commutative exponent pairs, and a linear
 recurrence for the canonical tuples of the two-relator monoid (derived in
-:func:`_two_relator_counts`).  :func:`table_from_words` counts canonical keys
-of enumerated words instead; it serves as the independent cross-check.
+:func:`_two_relator_counts`).  :func:`two_relator_table_by_oracle` recounts
+the two-relator table as an independent cross-check: it walks the group
+embedding's image length by length and feeds its counts to the same builder.
 
 Classification of a finished table into polynomial or exponential growth is
 a heuristic against the usual rubric (degree-d polynomial growth pinches
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import groups
 
@@ -66,18 +67,14 @@ class GrowthTable:
         return "\n".join(lines)
 
 
-def _check_bounds(n_max: int, budget: int) -> None:
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    if budget < 1:
-        raise ValueError(f"budget must be positive: {budget}")
-
-
 def _table_from_counts(frame: str, counts: Iterator[int], n_max: int, budget: int) -> GrowthTable:
     """Table of running totals of ``counts`` (new elements per minimal length)
     for n <= n_max.  It stops at the first n whose running total exceeds the
     budget and reports that n as ``truncated_at``."""
-    _check_bounds(n_max, budget)
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    if budget < 1:
+        raise ValueError(f"budget must be positive: {budget}")
     entries: list[tuple[int, int]] = []
     total = 0
     for n, count in zip(range(n_max + 1), counts):
@@ -86,39 +83,6 @@ def _table_from_counts(frame: str, counts: Iterator[int], n_max: int, budget: in
             return GrowthTable(frame, tuple(entries), n)
         entries.append((n, total))
     return GrowthTable(frame, tuple(entries))
-
-
-def table_from_words(
-    alphabet: tuple[str, ...],
-    canonical_key: Callable[[tuple[str, ...]], Hashable],
-    n_max: int,
-    frame: str,
-    budget: int = DEFAULT_BUDGET,
-) -> GrowthTable:
-    """Count distinct canonical keys of words of length <= n, for each n.
-
-    The words are letter tuples over ``alphabet``.  Enumerating them in
-    shortlex order makes the first word that produces a key a minimal-length
-    representative, so bucketing by first-hit length yields dim V^n without
-    any search.
-    """
-    _check_bounds(n_max, budget)
-    new_at_length = [0] * (n_max + 1)
-    seen: set[Hashable] = set()
-    visited = 0
-    truncated_at: Optional[int] = None
-    words = (w for n in range(n_max + 1) for w in itertools.product(alphabet, repeat=n))
-    for w in words:
-        visited += 1
-        if visited > budget:
-            truncated_at = len(w)
-            break
-        key = canonical_key(w)
-        if key not in seen:
-            seen.add(key)
-            new_at_length[len(w)] += 1
-    top = n_max + 1 if truncated_at is None else truncated_at
-    return GrowthTable(frame, tuple(enumerate(itertools.accumulate(new_at_length[:top]))), truncated_at)
 
 
 def _two_relator_counts() -> Iterator[int]:
@@ -168,14 +132,31 @@ def builtin_table(family: str, n_max: int, budget: int = DEFAULT_BUDGET) -> Grow
     raise ValueError(f"unknown family: {family!r} (free, free-commutative, two-relator)")
 
 
+def _oracle_counts() -> Iterator[int]:
+    """Number of two-relator monoid elements of minimal length n, n = 0, 1, ...,
+    by a walk in the group of :mod:`factorlab.groups`.
+
+    A minimal word of length n ends in ``a`` or ``b`` after a word of length
+    n - 1, which is then minimal too, so the elements of minimal length n are
+    the products of those of minimal length n - 1 with a generator that are
+    not shorter.  Group elements are equal exactly when the monoid elements
+    are, so a set of them deduplicates.
+    """
+    generators = [groups.embed_letters(letter) for letter in groups.ALPHABET]
+    frontier = {groups.IDENTITY}
+    seen = set(frontier)
+    while True:
+        yield len(frontier)
+        frontier = {groups.g_mul(x, s) for x in frontier for s in generators} - seen
+        seen |= frontier
+
+
 def two_relator_table_by_oracle(n_max: int) -> GrowthTable:
-    """Independent recomputation of the two-relator table: enumerate words and
-    deduplicate by the group embedding instead of by parameter tuples."""
-    return table_from_words(
-        groups.ALPHABET,
-        groups.embed_letters,
-        n_max,
-        "two-relator monoid frame {1, a, b} (oracle dedup)",
+    """Independent recomputation of the two-relator table: elements counted
+    by walking the group embedding's image (:func:`_oracle_counts`) instead of
+    by the recurrence for parameter tuples, under the same element budget."""
+    return _table_from_counts(
+        "two-relator monoid frame {1, a, b} (oracle dedup)", _oracle_counts(), n_max, DEFAULT_BUDGET
     )
 
 

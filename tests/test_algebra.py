@@ -22,6 +22,7 @@ from factorlab.algebra import (
 from factorlab.groups import ALPHABET, NormalForm, left_quotient
 from factorlab.monoid import enumerate_elements, normalize
 from factorlab.words import parse_word
+from factorlab.xy_poly import MAX_COEFF_BITS
 
 Q = Field.rationals()
 
@@ -292,6 +293,36 @@ def test_field_scalar_parsing():
     assert Q.parse("-7/2") == Fraction(-7, 2)
     f7 = Field.prime(7)
     assert f7.parse("3/2") == (3 * f7.inv(2)) % 7
+    widest = 2**MAX_COEFF_BITS - 1
+    assert Q.parse(f"-{widest}/{widest - 1}") == Fraction(-widest, widest - 1)
+    assert f7.parse(str(widest)) == widest % 7
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(10007)], ids=["Q", "F10007"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e9", "bad number"),
+        ("1.5", "bad number"),
+        ("+2", "bad number"),
+        ("3/-2", "bad number"),
+        (str(2**MAX_COEFF_BITS), f"exceeds {MAX_COEFF_BITS} bits"),
+    ],
+    ids=lambda value: value[:8],
+)
+def test_field_reads_coefficients_by_parse_rational_only(field, text, message):
+    # the messages are parse_rational's
+    with pytest.raises(ValueError, match=message):
+        field.parse(text)
+
+
+def test_prime_field_reduces_the_rational_before_mapping_it():
+    f7 = Field.prime(7)
+    assert f7.parse("14/7") == 2
+    assert f7.parse("-21/6") == f7.parse("-7/2") == 0
+    for text in ("1/7", "3/14", "1/0"):
+        with pytest.raises(ValueError, match="divides by zero"):
+            f7.parse(text)
 
 
 def test_coefficients_never_zero():

@@ -203,6 +203,13 @@ def test_skew_check_accepts_only_bounded_rational_q(capsys, q):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+def test_algebra_coefficient_with_a_decimal_exponent_is_an_input_error(capsys):
+    # the coefficient reader once converted 1e100000000 to an int for minutes
+    code, out, err = run(capsys, "alg", "deg", "1e100000000 * a")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "bad number" in err
+
+
 def test_oversized_matrix_literal_coefficient_is_an_input_error(capsys):
     code, out, err = run(capsys, "pi-demo", "--matrix", "(3/7)^20000; x; 1; x*y")
     assert code == 2 and out == ""

@@ -10,9 +10,11 @@ certificates ran at the level of runs (``CHAINS``; the two rational
 numerators, the two ``b^1000000`` lines before the accp chain and the b-power
 witness were certified by one check and a lemma), and before the code that
 no command reaches was deleted (``BRANCHES``, one command per normal branch
-that the other lines miss).  The README commands are
-read from the README itself, so a command added there without a recorded
-answer fails here.
+that the other lines miss; the parenthesized ``pi-demo`` entry and the last
+three ``growth`` lines were recorded before the oracle table walked the group
+and before algebra coefficients were read by ``parse_rational``).  The README
+commands are read from the README itself, so a command added there without a
+recorded answer fails here.
 """
 
 import json
@@ -57,6 +59,11 @@ BRANCHES = (
     'alg divides "1 * a + 1 * b" "1 * a^2 + 1 * a b + 1 * b a + 1 * b^2" --cap 3',
     "growth --family free --n-max 10 --gnuplot",
     'normalize "a b" --json',  # a group element with a free part
+    # parentheses and a power of a sum in a matrix entry
+    'pi-demo --matrix "(1 + y)^2; x*(1 + y); 1; x*y" --steps 2',
+    "growth --family free-commutative --n-max 12",  # inconclusive hint
+    "growth --family free-commutative --n-max 24",  # polynomial hint
+    "growth --family two-relator --n-max 30 --budget 1000",  # truncated at n = 10
 )
 
 

@@ -18,7 +18,7 @@ from factorlab.monoid import (
     verify_accp_failure,
 )
 from factorlab.words import MAX_LETTERS, parse_word
-from word_reference import enumerate_words
+from word_reference import enumerate_words, word_of
 
 
 def w(text):
@@ -83,6 +83,21 @@ def test_equal_examples():
 def test_canonicity_matches_group_oracle_up_to_9():
     for word in enumerate_words(ALPHABET, 9):
         assert groups.parse_membership(groups.embed(word)) == normalize(word)
+
+
+@pytest.mark.parametrize("a_share", [0.3, 0.5, 0.7])
+def test_both_oracles_agree_on_long_words(a_share):
+    # the rewriting normalizer and the group embedding, on words far longer
+    # than any enumeration reaches, and on products of their forms
+    rng = random.Random(int(a_share * 10))
+    forms = []
+    for length in (500, 1000, 500, 1000):
+        word = word_of(rng.choices(ALPHABET, weights=(a_share, 1 - a_share), k=length))
+        forms.append(normalize(word))
+        assert forms[-1] == groups.parse_membership(groups.embed(word)), length
+    for x, y in zip(forms, forms[1:]):
+        product = groups.g_mul(groups.embed(x), groups.embed(y))
+        assert multiply(x, y) == groups.parse_membership(product)
 
 
 def test_conservation_laws_up_to_12():

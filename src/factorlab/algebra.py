@@ -7,12 +7,12 @@ and collect coefficients, so every ring identity that holds here holds on the
 nose; there are no tolerances anywhere in this module.
 
 The divisibility probe searches for an exact right cofactor with support in a
-finite candidate set by solving a linear system over the field.  Each column
-``f * candidate`` has only as many nonzeros as f has terms, so the system
-splits into connected components, and only those containing a term of the
-target are solved; the cofactor is the one the whole system would give,
-because elimination picks pivots left to right within each block and blocks
-with a zero right-hand side contribute zero.
+finite candidate set by solving a linear system over the field.  The algebra
+is a domain, so for f != 0 the columns ``f * candidate`` are linearly
+independent and the system has at most one solution, whatever the order of
+its rows and columns.  Each column has only as many nonzeros as f has terms,
+so the system splits into connected components; only those containing a term
+of the target are solved, because the unique solution is zero on the others.
 
 Definite negative answers come from two obstructions: the a-degree is
 additive on nonzero products, and a (scalar multiple of a) single monoid
@@ -190,36 +190,26 @@ class DivisionResult:
 
 
 def _solve_exact(field: Field, rows: list[list[Scalar]], rhs: list[Scalar]) -> Optional[list[Scalar]]:
-    """One exact solution of rows * x = rhs (free variables pinned to zero),
-    or None if the system is inconsistent.  Columns are eliminated left to
-    right, so earlier unknowns are preferred."""
-    m = len(rows)
+    """The solution of rows * x = rhs for linearly independent columns, or
+    None if the system is inconsistent.  Independence makes the solution
+    unique; a column without a pivot raises
+    :class:`monoid.ChainVerificationError`."""
     n = len(rows[0]) if rows else 0
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivot_cols: list[int] = []
-    r = 0
     for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        pivot = next((i for i in range(col, len(aug)) if aug[i][col] != 0), None)
         if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = field.inv(aug[r][col])
-        aug[r] = [field.mul(v, inv) for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [field.add(v, -field.mul(factor, w)) for v, w in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    solution = [field.zero] * n
-    for row_idx, col in enumerate(pivot_cols):
-        solution[col] = aug[row_idx][n]
-    return solution
+            raise monoid.ChainVerificationError(f"column {col} has no pivot: the columns are dependent")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = field.inv(aug[col][col])
+        aug[col] = [field.mul(v, inv) for v in aug[col]]
+        for i, row in enumerate(aug):
+            factor = row[col]
+            if i != col and factor != 0:
+                aug[i] = [field.add(v, -field.mul(factor, w)) for v, w in zip(row, aug[col])]
+    if any(row[n] != 0 for row in aug[n:]):
+        return None
+    return [row[n] for row in aug[:n]]
 
 
 def _touching_columns(columns: list[dict[NormalForm, Scalar]], target: Iterable[NormalForm]) -> list[int]:
@@ -260,14 +250,15 @@ def divides_right(f: AlgebraElement, g: AlgebraElement, search_cap: int = 6) -> 
     inconclusive and ``unknown`` is returned.
 
     The search solves ``sum_j x_j * (f * c_j) = g`` over the candidates c_j
-    of a-count <= deg_a(g) - deg_a(f) in shortlex order, but only on the
-    connected components of the system that contain a term of g.  This
-    returns the same cofactor as solving the whole system: the matrix is
-    block-diagonal up to a permutation of rows and columns, and elimination
-    picks pivot columns left to right, so the pivot set is the union of the
-    per-block pivot sets.  With free variables set to zero the solution is
-    unique given the pivots, so blocks whose right-hand side is zero
-    contribute zero.  A term of g that no column reaches still leaves the
+    of a-count <= deg_a(g) - deg_a(f), in any order.  The columns
+    ``f * c_j`` are linearly independent: in a domain ``f * sum_j x_j c_j = 0``
+    forces ``sum_j x_j c_j = 0``, and the c_j are distinct monoid elements.
+    So the system has at most one solution; a column without a pivot would
+    contradict this and raises :class:`monoid.ChainVerificationError`.
+    Only the connected components of the system that contain a term of g
+    are solved: the matrix is block-diagonal up to a permutation of rows and
+    columns, and the unique solution is zero on every block whose right-hand
+    side is zero.  A term of g that no column reaches still leaves the
     system inconsistent.
     """
     if search_cap < 0:
@@ -295,9 +286,7 @@ def divides_right(f: AlgebraElement, g: AlgebraElement, search_cap: int = 6) -> 
     columns = [{monoid.multiply(s, nf): c for s, c in f.terms} for nf in candidates]
     target = dict(g.terms)
     kept = _touching_columns(columns, target)
-    support = sorted(
-        {key for j in kept for key in columns[j]} | set(target), key=NormalForm.shortlex_key
-    )
+    support = {key for j in kept for key in columns[j]} | target.keys()
     rows = [[columns[j].get(key, field.zero) for j in kept] for key in support]
     rhs = [target.get(key, field.zero) for key in support]
     solution = _solve_exact(field, rows, rhs)

@@ -175,9 +175,7 @@ def cmd_alg(args) -> int:
 
 def cmd_growth(args) -> int:
     table = growth.builtin_table(args.family, args.n_max, args.budget)
-    hint = None
-    if len([d for _, d in table.entries if d > 0]) >= 8:
-        hint = growth.classify(table)
+    hint = growth.classify(table)
     payload: dict[str, Any] = {
         "family": args.family,
         "frame": table.frame,

@@ -167,8 +167,9 @@ def _doubling_estimate(lookup: dict[int, int], n: int) -> Optional[float]:
     return math.log(lookup[n] / lookup[half]) / math.log(n / half)
 
 
-def classify(table: GrowthTable) -> Classification:
-    """Heuristic growth class of a table with at least 8 entries.
+def classify(table: GrowthTable) -> Optional[Classification]:
+    """Heuristic growth class of a table, or None when it has fewer than 8
+    positive entries.
 
     The log-log slope between n/2 and n estimates a polynomial degree; for
     genuinely polynomial data it is scale-stable, while for exponential data
@@ -180,7 +181,7 @@ def classify(table: GrowthTable) -> Classification:
     """
     entries = [(n, d) for n, d in table.entries if d > 0]
     if len(entries) < 8:
-        raise ValueError("need at least 8 table entries to classify")
+        return None
     lookup = dict(entries)
     n_hi = entries[-1][0]
     est_hi = _doubling_estimate(lookup, n_hi)

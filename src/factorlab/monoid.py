@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from . import lengths
 from .groups import _CYCLE, NormalForm, embed, left_quotient, right_quotient
 from .words import MAX_LETTERS, Word
 
@@ -106,20 +107,18 @@ def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
     return _normal_form(x.runs + y.runs)
 
 
-def enumerate_elements(max_len: int, max_a: Optional[int] = None) -> Iterator[NormalForm]:
-    """Yield each monoid element of minimal word length <= max_len, and of
-    a-count <= max_a when given, once.
+def enumerate_elements(max_len: int, max_a: int) -> Iterator[NormalForm]:
+    """Yield each monoid element of minimal word length <= max_len and of
+    a-count <= max_a once, lazily, in the order the grammar generates them.
 
     Canonical words are length-minimal, so generating the valid parameter
     tuples directly enumerates elements without any deduplication; the
     a-count bound prunes blocks and tail a-runs while they are generated.
-    Yields in shortlex order of the canonical words.
+    No caller needs an order: bounded division has one solution whatever
+    the order of its candidates.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    if max_a is None:
-        max_a = max_len
-    found: list[NormalForm] = []
 
     def block_suffixes(budget: int, a_budget: int, first: bool, head_b: int):
         # sequences of (a_run, b_run) blocks using total length <= budget
@@ -141,9 +140,7 @@ def enumerate_elements(max_len: int, max_a: Optional[int] = None) -> Iterator[No
             used = head_b + sum(a + b for a, b in blocks)
             a_used = sum(a for a, _ in blocks)
             for tail_a in range(min(max_len - used, max_a - a_used) + 1):
-                found.append(NormalForm(head_b, blocks, tail_a))
-    found.sort(key=NormalForm.shortlex_key)
-    yield from found
+                yield NormalForm(head_b, blocks, tail_a)
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,12 +341,12 @@ def right_length_refutation_triples(bound: int) -> list[tuple[NormalForm, Normal
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    aa = _normal_form([("a", 2)])
+    aa = NormalForm(0, (), 2)
     triples = []
     for n in range(1, bound + 1):
         b_n = NormalForm(n, (), 0)
         b_prev = NormalForm(n - 1, (), 0)
-        bn_aa = _normal_form([("b", n), ("a", 2)])
+        bn_aa = NormalForm(n, (), 2)
         triples.append((b_n, b_prev, NormalForm(1, (), 0)))
         triples.append((bn_aa, b_n, aa))
         triples.append((aa, bn_aa, b_n))
@@ -374,8 +371,6 @@ def refute_right_length(evaluator):
     n passes evaluator(a^2), so a violation must surface within the bound.
     Returns (report, bound).
     """
-    from . import lengths
-
     aa = NormalForm(0, (), 2)
     bound = max(1, evaluator(aa) + 1)
     triples = right_length_refutation_triples(bound)

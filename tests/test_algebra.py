@@ -20,9 +20,10 @@ from factorlab.algebra import (
     _solve_exact,
 )
 from factorlab.groups import ALPHABET, NormalForm, left_quotient
-from factorlab.monoid import enumerate_elements, normalize
+from factorlab.monoid import normalize
 from factorlab.words import parse_word
 from factorlab.xy_poly import MAX_COEFF_BITS
+from word_reference import shortlex_elements
 
 Q = Field.rationals()
 
@@ -70,7 +71,7 @@ def test_deg_a_examples():
 
 def test_deg_a_additivity_on_random_pairs():
     rnd = random.Random(202)
-    pool = list(enumerate_elements(4))
+    pool = shortlex_elements(4)
     checked = 0
     while checked < 500:
         f = random_element(rnd, Q, pool)
@@ -82,7 +83,7 @@ def test_deg_a_additivity_on_random_pairs():
 
 
 def test_monomial_closure_exhaustive_length_6():
-    pool = list(enumerate_elements(6))
+    pool = shortlex_elements(6)
     field = Q
     for s in pool:
         ms = monomial(field, s)
@@ -93,7 +94,7 @@ def test_monomial_closure_exhaustive_length_6():
 @pytest.mark.parametrize("field", [Q, Field.prime(101)])
 def test_ring_axioms_on_random_triples(field):
     rnd = random.Random(7)
-    pool = list(enumerate_elements(3))
+    pool = shortlex_elements(3)
     for _ in range(60):
         f = random_element(rnd, field, pool)
         g = random_element(rnd, field, pool)
@@ -161,14 +162,10 @@ def test_divides_right_solver_path():
     assert divides_right(f, alg_add(g, elem("1 * e")), 3).status == "unknown"
 
 
-def test_solver_prefers_shortlex_least_support():
-    # x + x is also (2)*x; with candidates ordered shortlex the solver must
-    # report the earliest pivot solution it can
-    f = elem("2 * e")
-    g = elem("1 * a + 1 * e")
-    division = divides_right(f, g, 2)
-    assert division.status == "yes"
-    assert alg_mul(f, division.cofactor) == g
+def test_solver_returns_the_unique_cofactor():
+    # K[M] is a domain, so 2 * h = a + e has the one solution h = (a + e)/2
+    division = divides_right(elem("2 * e"), elem("1 * a + 1 * e"), 2)
+    assert division == DivisionResult("yes", elem("1/2 * a + 1/2 * e"))
 
 
 def _dense_divides_right(f, g, search_cap):
@@ -187,7 +184,7 @@ def _dense_divides_right(f, g, search_cap):
             return DivisionResult("no")
         return DivisionResult("yes", monomial(f.field, v, f.field.mul(ct, f.field.inv(cs))))
     budget = deg_a(g) - deg_a(f)
-    candidates = [c for c in enumerate_elements(search_cap) if c.a_count <= budget]
+    candidates = [c for c in shortlex_elements(search_cap) if c.a_count <= budget]
     products = [dict(alg_mul(f, monomial(f.field, c)).terms) for c in candidates]
     target = dict(g.terms)
     support = sorted({s for p in products for s in p} | set(target), key=NormalForm.shortlex_key)
@@ -208,13 +205,13 @@ def _nonzero_element(rnd, field, pool, max_terms):
             return f
 
 
-@pytest.mark.parametrize("field", [Q, Field.prime(101)], ids=["Q", "F101"])
-def test_divides_right_matches_dense_reference(field):
+def _division_cases(field):
+    """Seeded (f, g, cap) triples: a product, a product plus a term, and a
+    target of lower a-degree than f, at caps 2 to 6."""
     rnd = random.Random(909 if field.modulus else 808)
-    pool = list(enumerate_elements(3))
-    statuses = []
+    pool = shortlex_elements(3)
     for cap in range(2, 7):
-        cofactors = list(enumerate_elements(cap))
+        cofactors = shortlex_elements(cap)
         for _ in range(5):
             f = _nonzero_element(rnd, field, pool, 3)
             h = _nonzero_element(rnd, field, cofactors, 3)
@@ -223,11 +220,38 @@ def test_divides_right_matches_dense_reference(field):
             perturbed = alg_add(yes, extra)
             heavy = alg_mul(yes, monomial(field, nf("a")))
             for g, f_side in ((yes, f), (perturbed, f), (f, heavy)):
-                result = divides_right(f_side, g, cap)
-                assert result == _dense_divides_right(f_side, g, cap), (cap, f_side, g)
-                statuses.append(result.status)
+                yield f_side, g, cap
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(101)], ids=["Q", "F101"])
+def test_divides_right_matches_dense_reference(field):
+    statuses = []
+    for f, g, cap in _division_cases(field):
+        result = divides_right(f, g, cap)
+        assert result == _dense_divides_right(f, g, cap), (cap, f, g)
+        statuses.append(result.status)
     assert {"yes", "no", "unknown"} <= set(statuses)
     assert statuses.count("yes") >= 25
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(101)], ids=["Q", "F101"])
+def test_divides_right_is_free_of_candidate_order(monkeypatch, field):
+    cases = list(_division_cases(field))
+    expected = [divides_right(f, g, cap) for f, g, cap in cases]
+    in_grammar_order = monoid.enumerate_elements
+    rnd = random.Random(17)
+
+    def reversed_order(max_len, max_a):
+        return reversed(list(in_grammar_order(max_len, max_a)))
+
+    def shuffled(max_len, max_a):
+        forms = list(in_grammar_order(max_len, max_a))
+        rnd.shuffle(forms)
+        return forms
+
+    for reorder in (reversed_order, shuffled):
+        monkeypatch.setattr(monoid, "enumerate_elements", reorder)
+        assert [divides_right(f, g, cap) for f, g, cap in cases] == expected
 
 
 def test_divides_right_solves_only_the_touched_components(monkeypatch):
@@ -249,9 +273,22 @@ def test_divides_right_solves_only_the_touched_components(monkeypatch):
 
 
 def test_solve_exact_inconsistent():
-    rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert _solve_exact(Q, rows, [Fraction(1), Fraction(3)]) is None
-    assert _solve_exact(Q, rows, [Fraction(1), Fraction(2)]) == [Fraction(1), Fraction(0)]
+    # two independent columns, three rows: the third equation decides
+    rows = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)], [Fraction(0), Fraction(2)]]
+    assert _solve_exact(Q, rows, [Fraction(1), Fraction(3), Fraction(5)]) is None
+    assert _solve_exact(Q, rows, [Fraction(1), Fraction(3), Fraction(4)]) == [Fraction(1), Fraction(2)]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 1], [2, 2]], [[1, 0, 1], [0, 1, 1]], [[0, 1], [0, 3], [0, 0]]],
+    ids=["proportional", "wide", "zero-column"],
+)
+def test_solve_exact_raises_on_dependent_columns(rows):
+    rows = [[Fraction(v) for v in row] for row in rows]
+    for rhs in ([Fraction(0)] * len(rows), [Fraction(1)] * len(rows)):
+        with pytest.raises(monoid.ChainVerificationError):
+            _solve_exact(Q, rows, rhs)
 
 
 def test_literal_round_trip():

@@ -10,11 +10,13 @@ certificates ran at the level of runs (``CHAINS``; the two rational
 numerators, the two ``b^1000000`` lines before the accp chain and the b-power
 witness were certified by one check and a lemma), and before the code that
 no command reaches was deleted (``BRANCHES``, one command per normal branch
-that the other lines miss; the parenthesized ``pi-demo`` entry and the last
-three ``growth`` lines were recorded before the oracle table walked the group
-and before algebra coefficients were read by ``parse_rational``).  The README
-commands are read from the README itself, so a command added there without a
-recorded answer fails here.
+that the other lines miss; the parenthesized ``pi-demo`` entry and the three
+``growth`` lines after it were recorded before the oracle table walked the
+group and before algebra coefficients were read by ``parse_rational``, and the
+last four lines before bounded division solved one unique system over
+unsorted candidates and before ``classify`` owned its entry threshold).  The
+README commands are read from the README itself, so a command added there
+without a recorded answer fails here.
 """
 
 import json
@@ -64,6 +66,11 @@ BRANCHES = (
     "growth --family free-commutative --n-max 12",  # inconclusive hint
     "growth --family free-commutative --n-max 24",  # polynomial hint
     "growth --family two-relator --n-max 30 --budget 1000",  # truncated at n = 10
+    # no cofactor of length <= 3: the solve is inconsistent
+    'alg divides "1 * a + 1 * b" "1 * a^2 + 1 * b" --cap 3',
+    'alg divides "1 * a + 1 * b" "1 * a^2 + 1 * a b + 1 * b a + 1 * b^2" --cap 3 --char 7',
+    'pi-demo --matrix "0; x; 1; x*y" --steps 1',  # a zero entry on display
+    "growth --family two-relator --n-max 30 --budget 1000 --gnuplot",  # truncated columns
 )
 
 

@@ -10,7 +10,7 @@ from factorlab.growth import (
     classify,
     two_relator_table_by_oracle,
 )
-from word_reference import table_from_words, word_of
+from word_reference import shortlex_elements, table_from_words, word_of
 
 
 def test_free_monoid_table_matches_closed_form():
@@ -68,8 +68,11 @@ def test_two_relator_classifies_as_exponential_hint():
 
 
 def test_classify_requires_enough_entries():
-    with pytest.raises(ValueError):
-        classify(GrowthTable("tiny", tuple((n, n + 1) for n in range(5))))
+    assert classify(GrowthTable("tiny", tuple((n, n + 1) for n in range(5)))) is None
+    # only positive entries count: seven of these ten are
+    padded = GrowthTable("padded", tuple((n, max(n - 2, 0)) for n in range(10)))
+    assert classify(padded) is None
+    assert classify(GrowthTable("eight", tuple((n, n + 1) for n in range(8)))) is not None
 
 
 def test_budget_truncation_marker():
@@ -126,7 +129,7 @@ def test_budget_truncation_matches_closed_forms():
         "two-relator": _two_relator_closed_form(n_max),
     }
     assert closed["two-relator"] == [d for _, d in builtin_table("two-relator", n_max).entries]
-    two_relator_lengths = [nf.length for nf in monoid.enumerate_elements(n_max)]
+    two_relator_lengths = [nf.length for nf in shortlex_elements(n_max)]
     for family, dims in closed.items():
         for budget in [*range(1, 200), DEFAULT_BUDGET]:
             over = [n for n, d in enumerate(dims) if d > budget]

@@ -2,14 +2,17 @@
 
 The package stores words as maximal runs and never walks them letter by
 letter.  The tests compare it against these plain letter walks, and its
-growth tables against a count over every word.
+growth tables against a count over every word.  The package enumerates
+monoid elements in no particular order; tests that draw from a seeded pool
+read them in shortlex order here.
 """
 
 import itertools
 from typing import Callable, Hashable, Optional
 
-from factorlab.groups import ALPHABET, IDENTITY, FreeWord, GroupElement, g_mul
+from factorlab.groups import ALPHABET, IDENTITY, FreeWord, GroupElement, NormalForm, g_mul
 from factorlab.growth import DEFAULT_BUDGET, GrowthTable
+from factorlab.monoid import enumerate_elements
 from factorlab.words import Word
 
 _GENERATORS = {"a": GroupElement(FreeWord(), 1), "b": GroupElement(FreeWord((("b", 1),)), 0)}
@@ -25,6 +28,12 @@ def enumerate_words(alphabet, max_len: int):
     for length in range(max_len + 1):
         for letters in itertools.product(alphabet, repeat=length):
             yield word_of(letters, alphabet)
+
+
+def shortlex_elements(max_len: int) -> list[NormalForm]:
+    """Every monoid element of minimal word length <= max_len, in shortlex
+    order of the canonical words."""
+    return sorted(enumerate_elements(max_len, max_len), key=NormalForm.shortlex_key)
 
 
 def embed_by_letters(letters) -> GroupElement:

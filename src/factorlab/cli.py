@@ -175,22 +175,19 @@ def cmd_alg(args) -> int:
 
 def cmd_growth(args) -> int:
     table = growth.builtin_table(args.family, args.n_max, args.budget)
-    hint = growth.classify(table)
+    proven = growth.classify(table)
     payload: dict[str, Any] = {
         "family": args.family,
         "frame": table.frame,
         "entries": [[n, d] for n, d in table.entries],
         "truncated_at": table.truncated_at,
-        "classification": None
-        if hint is None
-        else {"kind": hint.kind, "degree": hint.degree, "ratio": hint.ratio},
+        "classification": {"kind": proven.kind, "degree": proven.degree, "ratio": proven.ratio},
     }
     if args.gnuplot:
         text = table.columns().splitlines()
     else:
         text = table.csv().splitlines()
-    if hint is not None:
-        text.append(f"# hint: {hint.display()}")
+    text.append(f"# growth: {proven.display()}")
     _emit(args, payload, text)
     return 0
 

@@ -12,15 +12,16 @@ recurrence for the canonical tuples of the two-relator monoid (derived in
 the two-relator table as an independent cross-check: it walks the group
 embedding's image length by length and feeds its counts to the same builder.
 
-Classification of a finished table into polynomial or exponential growth is
-a heuristic against the usual rubric (degree-d polynomial growth pinches
-dim V^n between multiples of n^d); its output is a hint, never a theorem.
+Every table carries the proven growth class of its frame: exponential at
+rate 2 for ``free``, polynomial of degree 2 for ``free-commutative`` (dim V^n
+is ``(n + 1)(n + 2)/2``), and exponential at rate ``rho^2`` for the
+two-relator monoid, with ``rho`` the plastic number (proof in
+:func:`_two_relator_counts`).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -28,30 +29,33 @@ from . import groups
 
 DEFAULT_BUDGET = 2_000_000
 
-#: bound for the stabilized-ratio test of exponential growth
-RATIO_THRESHOLD = 1.05
-#: relative tolerance for matching a polynomial degree
-DEGREE_TOLERANCE = 0.10
-
 
 @dataclass(frozen=True, slots=True)
 class Classification:
-    kind: str  # "polynomial" | "exponential" | "inconclusive"
+    """A proven growth class: polynomial of ``degree`` or exponential at ``ratio``."""
+
+    kind: str  # "polynomial" | "exponential"
     degree: Optional[int] = None
     ratio: Optional[float] = None
 
     def display(self) -> str:
         if self.kind == "polynomial":
-            return f"polynomial(degree ~ {self.degree})"
-        if self.kind == "exponential":
-            return f"exponential(ratio ~ {self.ratio:.3f})"
-        return "inconclusive"
+            return f"polynomial, degree {self.degree}"
+        return f"exponential, rate {self.ratio:.6g}"
+
+
+#: the two-relator class; its rate is rho^2 for the plastic number rho
+#: (rho^3 = rho + 1), the one positive root of t^4 - t^3 - t^2 - 1 (one sign
+#: change, so one root by Descartes' rule) and the real root of its quotient
+#: t^3 - 2t^2 + t - 1 by t + 1
+_TWO_RELATOR_GROWTH = Classification("exponential", ratio=1.7548776662466927)
 
 
 @dataclass(frozen=True, slots=True)
 class GrowthTable:
     frame: str
     entries: tuple[tuple[int, int], ...]  # (n, dim V^n)
+    growth: Classification  # the proven class of the frame
     truncated_at: Optional[int] = None  # first n that exceeded the budget
 
     def csv(self) -> str:
@@ -67,7 +71,9 @@ class GrowthTable:
         return "\n".join(lines)
 
 
-def _table_from_counts(frame: str, counts: Iterator[int], n_max: int, budget: int) -> GrowthTable:
+def _table_from_counts(
+    frame: str, growth: Classification, counts: Iterator[int], n_max: int, budget: int
+) -> GrowthTable:
     """Table of running totals of ``counts`` (new elements per minimal length)
     for n <= n_max.  It stops at the first n whose running total exceeds the
     budget and reports that n as ``truncated_at``."""
@@ -80,9 +86,9 @@ def _table_from_counts(frame: str, counts: Iterator[int], n_max: int, budget: in
     for n, count in zip(range(n_max + 1), counts):
         total += count
         if total > budget:
-            return GrowthTable(frame, tuple(entries), n)
+            return GrowthTable(frame, tuple(entries), growth, n)
         entries.append((n, total))
-    return GrowthTable(frame, tuple(entries))
+    return GrowthTable(frame, tuple(entries), growth)
 
 
 def _two_relator_counts() -> Iterator[int]:
@@ -107,6 +113,17 @@ def _two_relator_counts() -> Iterator[int]:
     1 + z + z^2 + 2z^3 + 2z^4 + ...``, so ``c_n = c_{n-1} + c_{n-2} +
     c_{n-4} + 2`` for n >= 4, from the seeds 1, 2, 4, 8 (the transfer-matrix
     method, Stanley, Enumerative Combinatorics I, 4.7).
+
+    The factor ``1 + z`` divides both ``1 + z^3`` and ``1 - z - z^2 - z^4``, so
+
+        G(z) = (1 - z + z^2) / ((1 - z)(1 - 2z + z^2 - z^3)).
+
+    The roots of ``t^3 - 2t^2 + t - 1`` are the real ``rho^2`` and a complex
+    pair whose squared modulus is ``1/rho^2 < 1`` (the three multiply to 1),
+    and ``1 - z + z^2`` vanishes only on the unit circle.  So the pole of G
+    nearest 0 is the simple pole ``1/rho^2``, and ``c_n`` and dim V^n (the
+    partial sums, one more factor ``1/(1-z)``) grow exponentially at rate
+    ``rho^2``.
     """
     window = [1, 2, 4, 8]  # c_{n-4} .. c_{n-1}
     yield from window
@@ -124,11 +141,15 @@ def builtin_table(family: str, n_max: int, budget: int = DEFAULT_BUDGET) -> Grow
     :mod:`factorlab.monoid`, counted by :func:`_two_relator_counts`.
     """
     if family == "free":
-        return _table_from_counts("free monoid on 2 generators", (2**n for n in itertools.count()), n_max, budget)
+        free = Classification("exponential", ratio=2.0)
+        return _table_from_counts("free monoid on 2 generators", free, (2**n for n in itertools.count()), n_max, budget)
     if family == "free-commutative":
-        return _table_from_counts("free commutative monoid on 2 generators", itertools.count(1), n_max, budget)
+        pairs = Classification("polynomial", degree=2)
+        return _table_from_counts("free commutative monoid on 2 generators", pairs, itertools.count(1), n_max, budget)
     if family == "two-relator":
-        return _table_from_counts("two-relator monoid frame {1, a, b}", _two_relator_counts(), n_max, budget)
+        return _table_from_counts(
+            "two-relator monoid frame {1, a, b}", _TWO_RELATOR_GROWTH, _two_relator_counts(), n_max, budget
+        )
     raise ValueError(f"unknown family: {family!r} (free, free-commutative, two-relator)")
 
 
@@ -155,50 +176,10 @@ def two_relator_table_by_oracle(n_max: int) -> GrowthTable:
     """Independent recomputation of the two-relator table: elements counted
     by walking the group embedding's image (:func:`_oracle_counts`) instead of
     by the recurrence for parameter tuples, under the same element budget."""
-    return _table_from_counts(
-        "two-relator monoid frame {1, a, b} (oracle dedup)", _oracle_counts(), n_max, DEFAULT_BUDGET
-    )
+    frame = "two-relator monoid frame {1, a, b} (oracle dedup)"
+    return _table_from_counts(frame, _TWO_RELATOR_GROWTH, _oracle_counts(), n_max, DEFAULT_BUDGET)
 
 
-def _doubling_estimate(lookup: dict[int, int], n: int) -> Optional[float]:
-    half = n // 2
-    if half < 1 or n not in lookup or half not in lookup:
-        return None
-    return math.log(lookup[n] / lookup[half]) / math.log(n / half)
-
-
-def classify(table: GrowthTable) -> Optional[Classification]:
-    """Heuristic growth class of a table, or None when it has fewer than 8
-    positive entries.
-
-    The log-log slope between n/2 and n estimates a polynomial degree; for
-    genuinely polynomial data it is scale-stable, while for exponential data
-    it keeps growing with n.  A table is called exponential when the estimate
-    grows markedly across scales and the tail's successive ratios stabilize
-    above 1.05; it is called polynomial of degree d when the estimate sits
-    within 10 percent of the integer d.  Anything else is inconclusive, and
-    every answer is a hint, not a theorem.
-    """
-    entries = [(n, d) for n, d in table.entries if d > 0]
-    if len(entries) < 8:
-        return None
-    lookup = dict(entries)
-    n_hi = entries[-1][0]
-    est_hi = _doubling_estimate(lookup, n_hi)
-    est_lo = _doubling_estimate(lookup, n_hi // 2)
-    tail = entries[-max(4, len(entries) // 3) :]
-    ratios = [b[1] / a[1] for a, b in zip(tail, tail[1:])]
-    mean_ratio = sum(ratios) / len(ratios)
-    if (
-        est_hi is not None
-        and est_lo is not None
-        and est_hi > 1.25 * est_lo
-        and min(ratios) > RATIO_THRESHOLD
-        and max(ratios) - min(ratios) <= DEGREE_TOLERANCE * mean_ratio
-    ):
-        return Classification("exponential", ratio=mean_ratio)
-    if est_hi is not None:
-        degree = round(est_hi)
-        if degree >= 0 and abs(est_hi - degree) <= DEGREE_TOLERANCE * max(degree, 1):
-            return Classification("polynomial", degree=degree)
-    return Classification("inconclusive")
+def classify(table: GrowthTable) -> Classification:
+    """The proven growth class of the table's frame."""
+    return table.growth

@@ -169,13 +169,22 @@ def is_atom(x: NormalForm) -> AtomVerdict:
 
 @dataclass(frozen=True, slots=True)
 class LengthSetReport:
+    """The factorization lengths of ``element`` up to ``cap``: its minimal
+    word length alone when ``exhausted`` (the whole set), else every length
+    from there to ``cap`` in steps of 2."""
+
     element: NormalForm
     cap: int
-    lengths: frozenset[int]
     exhausted: bool
 
-    def sorted_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted(self.lengths))
+    def sorted_lengths(self) -> range:
+        if self.exhausted:
+            return range(self.element.length, self.element.length + 1)
+        return range(self.element.length, self.cap + 1, 2)
+
+    @property
+    def lengths(self) -> frozenset[int]:
+        return frozenset(self.sorted_lengths())
 
 
 def _has_aa(x: NormalForm) -> bool:
@@ -207,9 +216,7 @@ def length_set(x: NormalForm, cap: int) -> LengthSetReport:
         raise ValueError(f"cap {cap} below minimal word length {x.length}")
     if cap > MAX_LETTERS:
         raise ValueError(f"cap {cap} above the limit of {MAX_LETTERS} letters")
-    if _has_aa(x):
-        return LengthSetReport(x, cap, frozenset(range(x.length, cap + 1, 2)), False)
-    return LengthSetReport(x, cap, frozenset((x.length,)), True)
+    return LengthSetReport(x, cap, not _has_aa(x))
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,11 +12,15 @@ witness were certified by one check and a lemma), and before the code that
 no command reaches was deleted (``BRANCHES``, one command per normal branch
 that the other lines miss; the parenthesized ``pi-demo`` entry and the three
 ``growth`` lines after it were recorded before the oracle table walked the
-group and before algebra coefficients were read by ``parse_rational``, and the
-last four lines before bounded division solved one unique system over
-unsorted candidates and before ``classify`` owned its entry threshold).  The
-README commands are read from the README itself, so a command added there
-without a recorded answer fails here.
+group and before algebra coefficients were read by ``parse_rational``, the
+four lines after those before bounded division solved one unique system over
+unsorted candidates, and the ``lengths ... --json`` line before a length set
+was stored as a range).  Every ``growth`` line ends in the proven growth
+class of its frame; that last line was re-recorded when the class replaced
+a guess from the table, and the bytes before it were kept.  The last line,
+``growth ... --n-max 3 --json``, was recorded after that change.  The README
+commands are read from the README itself, so a command added there without
+a recorded answer fails here.
 """
 
 import json
@@ -63,14 +67,16 @@ BRANCHES = (
     'normalize "a b" --json',  # a group element with a free part
     # parentheses and a power of a sum in a matrix entry
     'pi-demo --matrix "(1 + y)^2; x*(1 + y); 1; x*y" --steps 2',
-    "growth --family free-commutative --n-max 12",  # inconclusive hint
-    "growth --family free-commutative --n-max 24",  # polynomial hint
+    "growth --family free-commutative --n-max 12",
+    "growth --family free-commutative --n-max 24",
     "growth --family two-relator --n-max 30 --budget 1000",  # truncated at n = 10
     # no cofactor of length <= 3: the solve is inconsistent
     'alg divides "1 * a + 1 * b" "1 * a^2 + 1 * b" --cap 3',
     'alg divides "1 * a + 1 * b" "1 * a^2 + 1 * a b + 1 * b a + 1 * b^2" --cap 3 --char 7',
     'pi-demo --matrix "0; x; 1; x*y" --steps 1',  # a zero entry on display
     "growth --family two-relator --n-max 30 --budget 1000 --gnuplot",  # truncated columns
+    'lengths "a^3 b a a b a^3 b" --cap 15 --json',  # the JSON length list
+    "growth --family free-commutative --n-max 3 --json",  # a polynomial class in JSON
 )
 
 

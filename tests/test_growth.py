@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from factorlab import monoid
 from factorlab.growth import (
     DEFAULT_BUDGET,
-    GrowthTable,
+    Classification,
     builtin_table,
     classify,
     two_relator_table_by_oracle,
@@ -17,11 +18,15 @@ def test_free_monoid_table_matches_closed_form():
     table = builtin_table("free", 16)
     assert table.truncated_at is None
     assert all(d == 2 ** (n + 1) - 1 for n, d in table.entries)
+    # 2^(n+1) - 1 grows exponentially at rate 2
+    assert classify(table) == Classification("exponential", ratio=2.0)
 
 
 def test_free_commutative_table_matches_closed_form():
     table = builtin_table("free-commutative", 16)
     assert all(2 * d == (n + 1) * (n + 2) for n, d in table.entries)
+    # (n + 1)(n + 2)/2 is a polynomial of degree 2
+    assert classify(table) == Classification("polynomial", degree=2)
 
 
 def test_two_relator_small_dimensions():
@@ -39,8 +44,9 @@ def test_two_relator_tables_agree_up_to_14():
 def test_word_table_with_normalizer_key():
     # a third computation of the same dimensions, keyed by the rewriting
     # normalizer instead of the group embedding
-    table = table_from_words(lambda letters: monoid.normalize(word_of(letters)), 8)
-    assert table.entries == builtin_table("two-relator", 8).entries
+    two_relator = builtin_table("two-relator", 8)
+    table = table_from_words(lambda letters: monoid.normalize(word_of(letters)), classify(two_relator), 8)
+    assert table.entries == two_relator.entries
 
 
 def test_entries_strictly_increasing():
@@ -49,30 +55,26 @@ def test_entries_strictly_increasing():
         assert all(b > a for a, b in zip(dims, dims[1:]))
 
 
-def test_classification_hints():
-    assert classify(builtin_table("free", 16)).kind == "exponential"
-    fc = classify(builtin_table("free-commutative", 20))
-    assert (fc.kind, fc.degree) == ("polynomial", 2)
-    constant = GrowthTable("point", tuple((n, 5) for n in range(12)))
-    assert (classify(constant).kind, classify(constant).degree) == ("polynomial", 0)
-    linear = GrowthTable("line", tuple((n, n + 1) for n in range(17)))
-    assert (classify(linear).kind, classify(linear).degree) == ("polynomial", 1)
-    cubic = GrowthTable("cubic", tuple((n, (n + 1) ** 3) for n in range(21)))
-    assert (classify(cubic).kind, classify(cubic).degree) == ("polynomial", 3)
+def test_two_relator_rate_is_the_root_of_the_recurrence():
+    # c_n = c_{n-1} + c_{n-2} + c_{n-4} + 2 has characteristic polynomial
+    # t^4 - t^3 - t^2 - 1 = (t + 1)(t^3 - 2t^2 + t - 1); its coefficients change
+    # sign once, so by Descartes' rule it has exactly one positive root
+    coefficients = [1, -1, -1, 0, -1]
+    signs = [c > 0 for c in coefficients if c]
+    assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
 
+    def p(t):
+        return sum(c * t ** (4 - k) for k, c in enumerate(coefficients))
 
-def test_two_relator_classifies_as_exponential_hint():
-    hint = classify(builtin_table("two-relator", 12))
-    assert hint.kind == "exponential"
-    assert hint.ratio > 1.5
-
-
-def test_classify_requires_enough_entries():
-    assert classify(GrowthTable("tiny", tuple((n, n + 1) for n in range(5)))) is None
-    # only positive entries count: seven of these ten are
-    padded = GrowthTable("padded", tuple((n, max(n - 2, 0)) for n in range(10)))
-    assert classify(padded) is None
-    assert classify(GrowthTable("eight", tuple((n, n + 1) for n in range(8)))) is not None
+    assert all(p(t) == (t + 1) * (t**3 - 2 * t**2 + t - 1) for t in range(-5, 6))
+    proven = classify(builtin_table("two-relator", 12))
+    assert proven.kind == "exponential" and proven.degree is None
+    rate, eps = Fraction(proven.ratio), Fraction(1, 2**50)
+    assert p(rate - eps) < 0 < p(rate + eps)
+    assert classify(two_relator_table_by_oracle(4)) == proven
+    dims = [d for _, d in builtin_table("two-relator", 60, budget=10**20).entries]
+    counts = [b - a for a, b in zip([0] + dims, dims)]
+    assert abs(counts[60] / counts[59] - proven.ratio) < 1e-12
 
 
 def test_budget_truncation_marker():
@@ -104,7 +106,7 @@ def _enumerated_table(family, n_max, budget, two_relator_lengths):
     produced: words for ``free``, canonical tuples (given by their lengths in
     shortlex order) for ``two-relator``, exponent pairs for ``free-commutative``."""
     if family == "free":
-        table = table_from_words(lambda letters: letters, n_max, budget)
+        table = table_from_words(lambda letters: letters, Classification("exponential", ratio=2.0), n_max, budget)
         return table.entries, table.truncated_at
     if family == "two-relator":
         lengths = itertools.takewhile(lambda n: n <= n_max, two_relator_lengths)

@@ -113,7 +113,7 @@ def test_monoid_has_no_right_length_function():
         report, bound = monoid.refute_right_length(evaluator)
         assert not report.ok(), name
     report = length_set(NormalForm(0, (), 2), 20)
-    assert report.sorted_lengths() == tuple(range(2, 21, 2))
+    assert tuple(report.sorted_lengths()) == tuple(range(2, 21, 2))
     assert not report.exhausted
 
 

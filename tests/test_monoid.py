@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -181,22 +182,34 @@ def test_atom_split_witnesses_multiply_back():
 
 
 def test_length_set_of_a_squared():
-    assert length_set(AA, 8).sorted_lengths() == (2, 4, 6, 8)
+    assert tuple(length_set(AA, 8).sorted_lengths()) == (2, 4, 6, 8)
     report = length_set(AA, 12)
-    assert report.sorted_lengths() == (2, 4, 6, 8, 10, 12)
+    assert tuple(report.sorted_lengths()) == (2, 4, 6, 8, 10, 12)
     assert not report.exhausted  # the cap clipped lengthening rewrites
 
 
 def test_length_set_examples():
     b_report = length_set(normalize(w("b")), 5)
-    assert b_report.sorted_lengths() == (1,)
+    assert tuple(b_report.sorted_lengths()) == (1,)
     assert b_report.exhausted
-    assert length_set(NormalForm(), 3).sorted_lengths() == (0,)
+    assert tuple(length_set(NormalForm(), 3).sorted_lengths()) == (0,)
     with pytest.raises(ValueError):
         length_set(AA, 1)
     for x in (AA, normalize(w("b"))):  # the cap is bounded like a word's length
         with pytest.raises(ValueError):
             length_set(x, MAX_LETTERS + 1)
+
+
+def test_length_set_at_the_largest_cap_is_constant_size():
+    # the report is (element, cap, exhausted); no length is stored
+    tracemalloc.start()
+    try:
+        report = length_set(AA, MAX_LETTERS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert report.sorted_lengths() == range(2, MAX_LETTERS + 1, 2)
 
 
 def test_length_set_matches_breadth_first_closure():
@@ -470,7 +483,7 @@ def test_nonunit_power_witness():
         assert all(not f.is_identity() for f in factors)
         assert product(factors) == cube
     # the padded words are the atom factorizations: a^3 has lengths 3, 5, 7, 9 up to 9
-    assert length_set(cube, 9).sorted_lengths() == (3, 5, 7, 9)
+    assert tuple(length_set(cube, 9).sorted_lengths()) == (3, 5, 7, 9)
     # b has no aa, so it is a product of one nonunit only
     report = length_set(normalize(w("b")), 3)
-    assert report.sorted_lengths() == (1,) and report.exhausted
+    assert tuple(report.sorted_lengths()) == (1,) and report.exhausted

@@ -11,7 +11,7 @@ import itertools
 from typing import Callable, Hashable, Optional
 
 from factorlab.groups import ALPHABET, IDENTITY, FreeWord, GroupElement, NormalForm, g_mul
-from factorlab.growth import DEFAULT_BUDGET, GrowthTable
+from factorlab.growth import DEFAULT_BUDGET, Classification, GrowthTable
 from factorlab.monoid import enumerate_elements
 from factorlab.words import Word
 
@@ -46,11 +46,13 @@ def embed_by_letters(letters) -> GroupElement:
 
 def table_from_words(
     canonical_key: Callable[[tuple[str, ...]], Hashable],
+    growth: Classification,
     n_max: int,
     budget: int = DEFAULT_BUDGET,
 ) -> GrowthTable:
     """Count distinct canonical keys of the letter tuples over ``ALPHABET``
-    of length <= n, for each n, visiting at most ``budget`` words.
+    of length <= n, for each n, visiting at most ``budget`` words; the table
+    carries the growth class ``growth`` its caller has proven for the keys.
 
     Enumerating the words in shortlex order makes the first word that
     produces a key a minimal-length representative, so bucketing by
@@ -69,4 +71,4 @@ def table_from_words(
             seen.add(key)
             new_at_length[len(w)] += 1
     top = n_max + 1 if truncated_at is None else truncated_at
-    return GrowthTable("words", tuple(enumerate(itertools.accumulate(new_at_length[:top]))), truncated_at)
+    return GrowthTable("words", tuple(enumerate(itertools.accumulate(new_at_length[:top]))), growth, truncated_at)

@@ -115,19 +115,15 @@ def cmd_accp(args) -> int:
 
 def cmd_in_all_sbn(args) -> int:
     nf = monoid.normalize(_word(args.word))
-    result = monoid.divisible_by_all_b_powers(nf, args.probe)
+    result = monoid.divisible_by_all_b_powers(nf)
     if result.forever:
-        text = (
-            f"yes: {nf.display()} = ({result.cofactor.display()}) * a^2 * b^{result.exponent}"
-            f" (probe {result.probe})"
-        )
+        text = f"yes: {nf.display()} = ({result.cofactor.display()}) * a^2 * b^{result.exponent}"
     else:
-        text = f"no: largest n with membership is {result.exponent} (probe {result.probe})"
+        text = f"no: largest n with membership is {result.exponent}"
     _emit(
         args,
         {
             "element": nf.display(),
-            "probe": result.probe,
             "forever": result.forever,
             "exponent": result.exponent,
             "cofactor": result.cofactor.display() if result.cofactor else None,
@@ -319,9 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_accp)
 
-    p = sub.add_parser("in-all-sbn", help="membership in every right ideal of a b-power")
+    p = sub.add_parser("in-all-sbn", help="exact membership in every right ideal of a b-power")
     p.add_argument("word")
-    p.add_argument("--probe", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_in_all_sbn)
 

@@ -268,23 +268,21 @@ def verify_accp_failure(depth: int) -> AccpWitness:
 
 @dataclass(frozen=True, slots=True)
 class BPowerDivisibility:
-    """Outcome of probing whether x is right-divisible by every power of b."""
+    """Whether x is right-divisible by every power of b, with the witness."""
 
     forever: bool
-    exponent: int  # witness i with x = cofactor * a^2 * b^i, or the max n with x in M*b^n
+    exponent: int  # least i with x = cofactor * a^2 * b^i, or the max n with x in M*b^n
     cofactor: Optional[NormalForm]
-    probe: int
 
 
-def divisible_by_all_b_powers(x: NormalForm, probe: Optional[int] = None) -> BPowerDivisibility:
+def divisible_by_all_b_powers(x: NormalForm) -> BPowerDivisibility:
     """Decide membership of x in every right ideal generated by a b-power.
 
     x lies in all of them iff x = u * a^2 * b^i for some i, because a^2
-    absorbs matching b-powers on both sides; the least such i <= probe is
-    returned, and the certificate is verified by multiplying back with the
-    rewriting normalizer.  When no witness exists the result carries the
-    largest n <= probe with x in M*b^n.  The probe is a stated cap and is
-    always reported.
+    absorbs matching b-powers on both sides; the least such i is returned,
+    and the certificate is verified by multiplying back with the rewriting
+    normalizer.  When no witness exists the result carries the largest n
+    with x in M*b^n.
 
     Lemma (where to look).  Let ``embed(x) = (w, e)`` and let ``s`` be the
     signed letter ``_CYCLE[e mod 4]``, the image of b behind ``a^e``.  In
@@ -305,36 +303,28 @@ def divisible_by_all_b_powers(x: NormalForm, probe: Optional[int] = None) -> BPo
       gives ``(v, e)`` in M: membership in ``M*b^(p-1)`` gives it in
       ``M*b^p``.
 
-    Hence the least witness lies in ``{0, p}`` and is at most
-    ``max(p, 0) <= b-count``, since no free run outgrows the b-count: the
-    default probe (b-count + 4) cannot miss it.  Membership in ``M*b^n``
-    holds for n from 0 up to some N, and when N < probe, N + 1 starts a new
-    region, so N = p: the largest n <= probe lies in ``{probe, p}``.  With
-    p clipped to ``[0, probe]`` (a clipped candidate shares a region with
-    0 or with probe), at most four divisions decide x, each O(runs),
-    whatever the b-count; ``tests/test_monoid.py`` keeps the probe of every
-    i as a cross-check.
+    Hence the least witness lies in ``{0, p}`` (p taken as 0 when
+    negative), and is at most the b-count, since no free run outgrows it.
+    Without a witness, membership in ``M*b^n`` holds for n from 0 up to some
+    finite N, and N + 1 starts a new region, so N = p.  At most three
+    divisions decide x, each O(runs), whatever the b-count;
+    ``tests/test_monoid.py`` keeps the probe of every exponent as a
+    cross-check.
     """
-    if probe is None:
-        probe = x.b_count + 4
-    if probe < 0:
-        raise ValueError("probe must be non-negative")
     g = embed(x)
     letter, sign = _CYCLE[g.shift % 4]
     last_letter, last_exp = g.free.runs[-1] if g.free.runs else (letter, 0)
-    p = sign * last_exp if last_letter == letter else 0
-    clipped = min(max(p, 0), probe)
-    for i in sorted({0, clipped}):
+    p = max(sign * last_exp if last_letter == letter else 0, 0)
+    for i in sorted({0, p}):
         cofactor = right_quotient(x, NormalForm(0, ((2, i),), 0) if i else NormalForm(0, (), 2))
         if cofactor is not None:
             certified = multiply(multiply(cofactor, NormalForm(0, (), 2)), NormalForm(i, (), 0))
             if certified != x:
                 raise ChainVerificationError("b-power certificate failed to multiply back")
-            return BPowerDivisibility(True, i, cofactor, probe)
-    for n in sorted({probe, clipped}, reverse=True):
-        if right_quotient(x, NormalForm(n, (), 0)) is not None:
-            return BPowerDivisibility(False, n, None, probe)
-    raise ChainVerificationError("no candidate b-power right-divides x")  # pragma: no cover
+            return BPowerDivisibility(True, i, cofactor)
+    if right_quotient(x, NormalForm(p, (), 0)) is None:
+        raise ChainVerificationError(f"the lemma's b^{p} does not right-divide x")  # pragma: no cover
+    return BPowerDivisibility(False, p, None)
 
 
 def right_length_refutation_triples(bound: int) -> list[tuple[NormalForm, NormalForm, NormalForm]]:

@@ -78,13 +78,17 @@ def is_special_form(m: Mat2) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class PeelStep:
+    """``m = PEEL_UNIT^index * remainder``."""
+
     index: int
-    cofactor: Mat2
     remainder: Mat2
 
 
 def peel_chain(m: Mat2, steps: int) -> Iterator[PeelStep]:
     """Yield m = diag(1, y)^k * rest_k for k = 1..steps, certified once.
+
+    Every step peels the same cofactor PEEL_UNIT = diag(1, y), so a step
+    holds k and rest_k only.
 
     Lemma: for special-form m, rest_k = diag(1, y^-k) * m (the second row
     times y^-k) is in the ring and special-form, det(rest_k) = y^-k * det(m)
@@ -107,7 +111,7 @@ def peel_chain(m: Mat2, steps: int) -> Iterator[PeelStep]:
     a21, a22 = m.a21, m.a22
     for k in range(1, steps + 1):
         a21, a22 = a21 * Y_INV, a22 * Y_INV
-        yield PeelStep(k, PEEL_UNIT, Mat2(m.a11, m.a12, a21, a22))
+        yield PeelStep(k, Mat2(m.a11, m.a12, a21, a22))
 
 
 def power(m: Mat2, k: int) -> Mat2:

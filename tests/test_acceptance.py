@@ -151,9 +151,9 @@ def test_criterion_10_matrix_peeling_chain():
         ok = ok and pi_matrix.in_ring(step.remainder)
         ok = ok and pi_matrix.is_special_form(step.remainder)
         ok = ok and not step.remainder.det().is_zero()
-        ok = ok and pi_matrix.in_ring(step.cofactor)
+        ok = ok and pi_matrix.in_ring(pi_matrix.PEEL_UNIT)
         ok = ok and not pi_matrix.in_ring(pi_matrix.PEEL_UNIT_INVERSE)
-        ok = ok and step.cofactor * step.remainder == (
+        ok = ok and pi_matrix.PEEL_UNIT * step.remainder == (
             steps[step.index - 2].remainder if step.index > 1 else start
         )
         ok = ok and pi_matrix.power(pi_matrix.PEEL_UNIT, step.index) * step.remainder == start

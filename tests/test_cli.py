@@ -72,6 +72,15 @@ def test_in_all_sbn(capsys):
     assert not doc["forever"] and doc["exponent"] == 3
 
 
+def test_in_all_sbn_takes_no_probe(capsys):
+    # the answer is exact, so there is no depth to cap
+    with pytest.raises(SystemExit) as exc:
+        main(["in-all-sbn", "--probe", "5", "a a b"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "--probe" in err and "Traceback" not in err
+
+
 def test_alg_commands(capsys):
     code, out, _ = run(capsys, "alg", "mul", "1 * b", "1 * a^2 b^1")
     assert code == 0 and out.strip() == "1 * a^2"  # b * a^2 b = (b a^2 b) = a^2

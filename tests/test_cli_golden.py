@@ -18,7 +18,10 @@ unsorted candidates, and the ``lengths ... --json`` line before a length set
 was stored as a range).  Every ``growth`` line ends in the proven growth
 class of its frame; that last line was re-recorded when the class replaced
 a guess from the table, and the bytes before it were kept.  The last line,
-``growth ... --n-max 3 --json``, was recorded after that change.  The README
+``growth ... --n-max 3 --json``, was recorded after that change.  The
+``in-all-sbn`` lines lost their `` (probe N)`` suffix and their ``"probe"``
+key when the answer became exact, every other byte kept; the last of them,
+``in-all-sbn "b^2 a b a b"``, was recorded after that change.  The README
 commands are read from the README itself, so a command added there without
 a recorded answer fails here.
 """
@@ -45,6 +48,7 @@ CHAINS = (
     # a million b's: the answer is read off the embedding, not probed step by step
     'in-all-sbn "b^1000000"',
     'in-all-sbn "a^2 b^1000000" --json',
+    'in-all-sbn "b^2 a b a b"',  # N = 1, below the b-count of 4
     "accp --depth 3 --json",
     "pi-demo --steps 3 --json",
     'pi-demo --matrix "1; x; 1; x" --steps 3',  # det 0: refused, exit 2

@@ -37,7 +37,6 @@ ROWS = {
     "groups.left_quotient(b^k, b^k a^2 b^3)": (0, (10**3, 10**4, 10**5)),
     "groups.embed((b a^2)^k)": (1, (250, 500, 1000)),
     "groups.parse_membership(embed((b a)^k))": (1, (250, 500, 1000)),
-    "monoid.divisible_by_all_b_powers(b^3, probe)": (0, (50, 100, 200)),
     "monoid.divisible_by_all_b_powers(b^k)": (0, (10**3, 10**4, 10**5)),
     "monoid.verify_accp_failure(depth)": (1, (50, 100, 200)),
     "pi_matrix.peel_chain(demo_matrix(), steps)": (1, (50, 100, 200)),
@@ -124,9 +123,6 @@ def _operations():
         "groups.left_quotient(b^k, b^k a^2 b^3)": left_quotient,
         "groups.embed((b a^2)^k)": embed,
         "groups.parse_membership(embed((b a)^k))": membership,
-        "monoid.divisible_by_all_b_powers(b^3, probe)": lambda probe: lambda: monoid.divisible_by_all_b_powers(
-            NormalForm(3, (), 0), probe
-        ),
         "monoid.divisible_by_all_b_powers(b^k)": lambda k: lambda: monoid.divisible_by_all_b_powers(
             NormalForm(k, (), 0)
         ),

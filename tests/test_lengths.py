@@ -59,7 +59,7 @@ def test_zero_function_fails_on_a_nonunit():
     assert check_contract(zero, [(a, a, e)], **FREE_OPS).ok()
     # ... but a = e * a needs lambda(a) > lambda(e), which 0 > 0 is not
     report = check_contract(zero, [(a, e, a)], **FREE_OPS)
-    assert [v.reason for v in report.violations] == ["no strict drop against right factor"]
+    assert [v["reason"] for v in report.as_dict(str)["violations"]] == ["no strict drop against right factor"]
 
 
 def test_bad_triple_is_an_input_error():
@@ -134,6 +134,6 @@ def test_report_json_schema():
 
 
 def test_report_ok_shape():
-    report = ViolationReport(RIGHT, 0, ())
+    report = ViolationReport(0, ())
     assert report.ok()
-    assert report.as_dict(str)["violations"] == []
+    assert report.as_dict(str) == {"contract": RIGHT, "samples": 0, "violations": []}

@@ -17,14 +17,14 @@ at once, ``ONE`` returns the other operand, and a single-term operand
 ``c x^i y^j`` costs O(n): the other operand's keys shift by (i, j), which keeps
 them sorted, and its numerators change only when ``c`` is not 1, so a
 monomial such as ``y^-1`` does no arithmetic on coefficients.  ``Fraction``
-appears only at the edges: the inputs of ``from_dict`` and ``term``, and the
-derived ``terms`` view that ``display`` and the parser's bit bound read.
+appears only at the edges: the inputs of ``from_dict`` and ``term``, the
+numbers ``parse_rational`` reads, and the derived ``terms`` view that
+``display`` reads.
 
-The parser bounds its work twice: ``MAX_TERM_PRODUCTS`` caps the number of
-term products a literal may cost, and ``MAX_COEFF_BITS`` the size of every
-coefficient it builds.  A sum keeps one reduced ``Fraction`` per key, checks
-each coefficient it updates against the bit bound and builds the element
-once, so adding a term never rescales the whole partial sum.
+The parser stays in the stored integers.  ``MAX_TERM_PRODUCTS`` caps the
+term products a literal may cost and ``MAX_COEFF_BITS`` every integer it
+stores, so each step works on bounded integers and the two limits bound its
+time.  A sum is formed once, over the lcm of its summands' denominators.
 """
 
 from __future__ import annotations
@@ -79,13 +79,7 @@ class LaurentPoly2:
             return self
         if not self.nums:
             return other
-        den = math.lcm(self.den, other.den)
-        acc: dict[tuple[int, int], int] = {}
-        for p in (self, other):
-            scale = den // p.den
-            for key, n in p.nums:
-                acc[key] = acc.get(key, 0) + n * scale
-        return _reduced(acc.items(), den)
+        return _sum(((1, self), (1, other)), math.lcm(self.den, other.den))
 
     def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         if not self.nums or not other.nums:
@@ -142,11 +136,24 @@ def _reduced(items: Iterable[tuple[tuple[int, int], int]], den: int) -> LaurentP
     return LaurentPoly2(tuple(terms), den)
 
 
+def _sum(parts: Iterable[tuple[int, LaurentPoly2]], den: int) -> LaurentPoly2:
+    """The element sum(sign * p) over the ``(sign, p)`` in ``parts``, whose
+    denominators all divide ``den``: each numerator is scaled to ``den`` once,
+    and the total is reduced once."""
+    acc: dict[tuple[int, int], int] = {}
+    for sign, p in parts:
+        scale = sign * (den // p.den)
+        for key, n in p.nums:
+            acc[key] = acc.get(key, 0) + n * scale
+    return _reduced(acc.items(), den)
+
+
 ZERO = LaurentPoly2(())
 ONE = LaurentPoly2.term(0, 0)
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+/\d+|\d+|[xy()+\-*^]|\S)")
+_NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
+_TOKEN_RE = re.compile(rf"\s*({_NUMBER_RE.pattern}|[xy()+\-*^]|\S)")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -157,7 +164,7 @@ def _tokenize(text: str) -> list[str]:
         if m is None:
             break
         tok = m.group(1)
-        if tok not in "xy()+-*^" and not re.fullmatch(r"\d+(/\d+)?", tok):
+        if tok not in "xy()+-*^" and not _NUMBER_RE.fullmatch(tok):
             raise ValueError(f"unexpected character {tok!r} in polynomial literal")
         tokens.append(tok)
         pos = m.end()
@@ -169,31 +176,23 @@ def _tokenize(text: str) -> list[str]:
 MAX_NESTING = 100
 
 #: Most term products one literal may cost: every product of an ``m``-term
-#: and an ``n``-term polynomial counts ``max(1, m*n)``, and a negative power
-#: ``t^-k`` counts ``k``.  It caps how many term products a literal forms,
-#: not what they cost: each one multiplies numerators over the operand's
-#: common denominator, which may have many thousand bits, so no time bound
-#: follows.  The ``FOUND:`` line on this budget in CHANGES.md measured a
-#: literal within every bound, ``(f)*(1 + y^k)(1 + y^2k)...`` with ``f`` a
-#: sum of k terms over distinct 2000-bit denominators, at 102 s for k = 128.
+#: and an ``n``-term polynomial counts ``max(1, m*n)``, a summand of ``n``
+#: terms counts ``max(1, n)``, and a power ``t^k`` or ``t^-k`` of one term
+#: counts ``k``.  Each of these multiplies or adds integers of at most
+#: ``MAX_COEFF_BITS`` bits, so with that bound it caps the parser's time.
 MAX_TERM_PRODUCTS = 10**5
 
-#: Largest numerator or denominator, in bits, of any coefficient a literal
-#: builds, literal numbers included.  Every product, sum and power is checked
-#: once it is formed, and the power ``t^k`` of a single term with a ``b``-bit
-#: coefficient is refused before it is formed when even its least possible
-#: size, ``(b - 1) * |k| + 1`` bits, is past the bound.  So no step handles
-#: numbers much longer than twice the bound.
+#: Most bits of any integer a literal stores: each element's ``den`` and
+#: numerators, literal numbers included, checked once each step is formed.
+#: A sum is refused once the lcm of its denominators passes the bound, and
+#: ``t^k`` of one term with ``b``-bit integers before it is formed when even
+#: its least size, ``(b - 1) * |k| + 1`` bits, is past it.
 MAX_COEFF_BITS = 4096
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 # more significant decimal digits than 2^MAX_COEFF_BITS has means more bits
 _MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
-
-
-def _bits(c: Fraction) -> int:
-    return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
 def _too_long() -> ValueError:
@@ -212,13 +211,13 @@ def parse_rational(text: str) -> Fraction:
     if int(den) == 0:
         raise ValueError(f"number {text!r} divides by zero")
     value = Fraction(int(num), int(den))
-    if _bits(value) > MAX_COEFF_BITS:
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_COEFF_BITS:
         raise _too_long()
     return value
 
 
 def _bounded(p: LaurentPoly2) -> LaurentPoly2:
-    if any(_bits(c) > MAX_COEFF_BITS for _, c in p.terms):
+    if p.den.bit_length() > MAX_COEFF_BITS or any(n.bit_length() > MAX_COEFF_BITS for _, n in p.nums):
         raise _too_long()
     return p
 
@@ -250,9 +249,10 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> LaurentPoly2:
-        # one reduced Fraction per key; each signed summand is charged as its
-        # product by the sign, and each coefficient it updates is checked
-        acc: dict[tuple[int, int], Fraction] = {}
+        # each signed summand is charged as its product by the sign; the sum
+        # is formed once, over the lcm of the summands' denominators
+        parts: list[tuple[int, LaurentPoly2]] = []
+        den = 1
         while True:
             sign = 1
             while self.peek() in ("+", "-"):
@@ -260,18 +260,17 @@ class _Parser:
                     sign = -sign
             summand = self.parse_term()
             self.charge(max(1, len(summand.nums)))
-            for key, c in summand.terms:
-                total = acc.get(key, 0) + sign * c
-                if _bits(total) > MAX_COEFF_BITS:
-                    raise _too_long()
-                acc[key] = total
+            den = math.lcm(den, summand.den)
+            if den.bit_length() > MAX_COEFF_BITS:
+                raise _too_long()
+            parts.append((sign, summand))
             if self.peek() not in ("+", "-"):
-                return LaurentPoly2.from_dict(acc)
+                return _bounded(_sum(parts, den))
 
     def parse_term(self) -> LaurentPoly2:
         result = self.parse_factor()
         while self.peek() == "*" or self.peek() in ("x", "y", "(") or (
-            self.peek() is not None and re.fullmatch(r"\d+(/\d+)?", self.peek())
+            self.peek() is not None and _NUMBER_RE.fullmatch(self.peek())
         ):
             if self.peek() == "*":
                 self.take()
@@ -305,40 +304,34 @@ class _Parser:
             self.depth -= 1
             return inner
         if tok == "x":
-            return LaurentPoly2.term(1, 0)
+            return LaurentPoly2((((1, 0), 1),))
         if tok == "y":
-            return LaurentPoly2.term(0, 1)
-        if re.fullmatch(r"\d+(/\d+)?", tok):
-            return LaurentPoly2.term(0, 0, parse_rational(tok))
+            return LaurentPoly2((((0, 1), 1),))
+        if _NUMBER_RE.fullmatch(tok):
+            value = parse_rational(tok)
+            return LaurentPoly2((((0, 0), value.numerator),), value.denominator) if value else ZERO
         raise ValueError(f"unexpected token {tok!r} in polynomial literal")
 
     def power(self, base: LaurentPoly2, exponent: int) -> LaurentPoly2:
-        if len(base.nums) == 1 and (_bits(base.terms[0][1]) - 1) * abs(exponent) >= MAX_COEFF_BITS:
-            raise _too_long()
-        if exponent >= 0 and len(base.nums) == 1:
-            # one pow, charged as the ``exponent`` products of repeated
-            # multiplication.  Those are refused at the first product past
-            # the budget or past the bit bound, and coefficient bits never
-            # shrink under a power, so checking the power that fits the
-            # budget tells which refusal comes first.
-            (i, j), coeff = base.terms[0]
-            room = MAX_TERM_PRODUCTS - self.work
-            if exponent > room and _bits(coeff**room) > MAX_COEFF_BITS:
-                raise _too_long()
-            self.charge(exponent)
-            return _bounded(LaurentPoly2.term(i * exponent, j * exponent, coeff**exponent))
-        if exponent >= 0:
+        if len(base.nums) != 1:
+            if exponent < 0:
+                raise ValueError("negative powers only apply to single terms")
             out = ONE
             for _ in range(exponent):
                 out = self.mul(out, base)
             return out
-        if len(base.nums) != 1:
-            raise ValueError("negative powers only apply to single terms")
-        (i, j), coeff = base.terms[0]
-        if i != 0:
-            raise ValueError("x is not invertible")
-        self.charge(-exponent)
-        return _bounded(LaurentPoly2.term(0, j * exponent, coeff**exponent))
+        # one pow of the reduced n/d, charged as the |k| products of repeated
+        # multiplication; n^k/d^k is reduced too, so it needs no gcd
+        ((i, j), n), d = base.nums[0], base.den
+        if exponent < 0:
+            if i != 0:
+                raise ValueError("x is not invertible")
+            n, d = (d, n) if n > 0 else (-d, -n)
+        k = abs(exponent)
+        if (max(n.bit_length(), d.bit_length()) - 1) * k + 1 > MAX_COEFF_BITS:
+            raise _too_long()
+        self.charge(k)
+        return _bounded(LaurentPoly2((((i * exponent, j * exponent), n**k),), d**k))
 
 
 def parse_laurent_poly(text: str) -> LaurentPoly2:

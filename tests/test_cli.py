@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorlab.cli import build_parser, main
 
@@ -232,3 +238,66 @@ def test_parser_is_built_once_per_process(capsys):
     assert run(capsys, "lengths", "a a", "--cap", "1")[0] == 2
     info = build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+def _found_literal(k):
+    """``(f)*(1 + y^k)*(1 + y^2k)*...``, ``f`` a sum of k terms over distinct
+    2000-bit denominators: within the term-product budget, but the lcm of the
+    denominators of ``f`` passes MAX_COEFF_BITS at its third term."""
+    f = " + ".join(f"1/{2**1999 + 2 * i + 1}*y^{i}" for i in range(k))
+    return f"({f})" + "".join(f"*(1 + y^{k * 2**m})" for m in range(k.bit_length() - 1))
+
+
+def test_a_sum_over_a_long_common_denominator_is_an_input_error(capsys):
+    code, out, err = run(capsys, "pi-demo", "--matrix", f"{_found_literal(32)}; x; 1; x*y")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "bits" in err
+
+
+GOLDEN_ARGV = [shlex.split(command) for command in json.loads((Path(__file__).parent / "cli_golden.json").read_text())]
+EDGE_TOKENS = ("0", "-1", str(10**30), "e", "a^0", "", "1/0", "a" * 5000, "--frobnicate", "(3/7)^1000 + (5/11)^1000*y")
+# work that grows with a size the user asks for, with no budget: a draw may
+# ask for no more than the golden commands do, and `alg divides` searches
+# every cofactor up to its cap
+SIZE_LIMITS = {"--depth": 20, "--steps": 25, "--pairs": 1000}
+
+
+def _within_sizes(argv):
+    for option, value in zip(argv, argv[1:]):
+        limit = 8 if argv[:2] == ["alg", "divides"] and option == "--cap" else SIZE_LIMITS.get(option)
+        if limit is not None and value.lstrip("-").isdigit() and int(value) > limit:
+            return False
+    return True
+
+
+@st.composite
+def _mutated_argv(draw):
+    argv = list(draw(st.sampled_from(GOLDEN_ARGV)))
+    i = len(argv) - 1 - draw(st.integers(0, len(argv) - 1))  # the command name last
+    how = draw(st.sampled_from(("mutate", "delete", "duplicate", "edge")))
+    if how == "mutate":  # insert or replace one character, counted from the end
+        token = argv[i]
+        j = len(token) - draw(st.integers(0, len(token)))
+        argv[i] = token[:j] + draw(st.sampled_from("ab^-0123456789xy/;*() ")) + token[j + draw(st.integers(0, 1)) :]
+    elif how == "delete":
+        del argv[i]
+    elif how == "duplicate":
+        argv.insert(i, argv[i])
+    else:
+        argv[i] = draw(st.sampled_from(EDGE_TOKENS))
+    return argv
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(_mutated_argv().filter(_within_sizes))
+def test_every_argv_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue(), argv

@@ -17,8 +17,10 @@ four lines after those before bounded division solved one unique system over
 unsorted candidates, and the ``lengths ... --json`` line before a length set
 was stored as a range).  Every ``growth`` line ends in the proven growth
 class of its frame; that last line was re-recorded when the class replaced
-a guess from the table, and the bytes before it were kept.  The last line,
-``growth ... --n-max 3 --json``, was recorded after that change.  The
+a guess from the table, and the bytes before it were kept.  The line
+``growth ... --n-max 3 --json`` was recorded after that change, and the two
+``lenfn-check --candidate a-plus-b-count`` lines after it later still, so
+that a golden line reads the b-count of a canonical form.  The
 ``in-all-sbn`` lines lost their `` (probe N)`` suffix and their ``"probe"``
 key when the answer became exact, every other byte kept; the last of them,
 ``in-all-sbn "b^2 a b a b"``, was recorded after that change.  The README
@@ -81,6 +83,8 @@ BRANCHES = (
     "growth --family two-relator --n-max 30 --budget 1000 --gnuplot",  # truncated columns
     'lengths "a^3 b a a b a^3 b" --cap 15 --json',  # the JSON length list
     "growth --family free-commutative --n-max 3 --json",  # a polynomial class in JSON
+    "lenfn-check --candidate a-plus-b-count",  # the b-count of a canonical form
+    "lenfn-check --candidate a-plus-b-count --json",
 )
 
 

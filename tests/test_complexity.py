@@ -11,7 +11,15 @@ Raising an exponent or ``SLACK`` needs a ``CHANGES.md`` entry that says why;
 a change that earns it lowers the exponent.  The gate times nothing, so it
 supports no speed claim: speed claims stay with the benchmark.
 
-    python tests/test_complexity.py   # prints {row: [[size, count], ...]}
+    python tests/test_complexity.py             # prints {row: [[size, count], ...]}
+    python tests/test_complexity.py --bench N   # writes BENCH_N.json at the repo root
+
+A ``BENCH_N.json`` file records these counts for one commit: its SHA (and
+whether ``src/`` differed from it), the Python version and, per row,
+the sizes, the counts, the successive slopes and the declared exponent.  A
+row whose operation the checkout cannot run is recorded with ``null``
+counts and the error.  ``timed`` stays ``null``: the files hold counts of
+work, not timings.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -175,6 +184,33 @@ def slopes(points: list[list[int]]) -> list[float]:
     ]
 
 
+def bench_record() -> dict:
+    """This checkout's counts as one ``BENCH_N.json`` document."""
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+    operations = _operations()
+    rows = {}
+    for row, (exponent, sizes) in ROWS.items():
+        try:
+            counted = [count_lines(operations[row](n)) for n in sizes]
+        except (AttributeError, ImportError, KeyError, NameError, TypeError) as exc:
+            # an API this checkout lacks or spells differently
+            rows[row] = {"exponent": exponent, "sizes": list(sizes), "counts": None, "missing": repr(exc)}
+            continue
+        points = [[n, c] for n, c in zip(sizes, counted)]
+        rows[row] = {"exponent": exponent, "sizes": list(sizes), "counts": counted, "slopes": slopes(points)}
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--", "src")),
+        "python": platform.python_version(),
+        "unit": "line events in src/factorlab frames",
+        "rows": rows,
+        "timed": None,
+    }
+
+
 def test_counted_work_grows_no_faster_than_declared():
     child = subprocess.run(
         [sys.executable, __file__],
@@ -197,5 +233,24 @@ def test_counted_work_grows_no_faster_than_declared():
     assert not too_steep, f"work grows faster than declared: {too_steep}"
 
 
+def test_bench_records_follow_from_their_counts():
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text())
+        assert {"commit", "dirty", "python", "rows", "timed"} <= set(doc), path.name
+        for row, entry in doc["rows"].items():
+            if entry["counts"] is None:
+                assert entry["missing"], (path.name, row)
+                continue
+            assert len(entry["sizes"]) == len(entry["counts"]), (path.name, row)
+            want = slopes([list(point) for point in zip(entry["sizes"], entry["counts"])])
+            assert len(entry["slopes"]) == len(want), (path.name, row)
+            assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(entry["slopes"], want)), (path.name, row)
+
+
 if __name__ == "__main__":
-    print(json.dumps(counts()))
+    if sys.argv[1:2] == ["--bench"]:
+        (ROOT / f"BENCH_{int(sys.argv[2])}.json").write_text(json.dumps(bench_record(), indent=1) + "\n")
+    else:
+        print(json.dumps(counts()))

@@ -429,15 +429,27 @@ def test_single_term_power_is_charged_as_repeated_products():
 
 
 def test_single_term_power_refuses_as_repeated_products():
-    # 3^k passes MAX_COEFF_BITS at k = 2585 and 2^k at k = 4096; with the
-    # budget nearly spent, whichever limit repeated products hit first decides
+    # 3^k passes MAX_COEFF_BITS at k = 2585 and 2^k at k = 4096; at every
+    # spent budget the one pow accepts or refuses as repeated products do, and
+    # when both accept they give the same element and work (either limit may
+    # name the refusal).  A walk whose budget outlasts its k products does
+    # what the walk from an empty budget does, so that walk is run once and
+    # every walk that may reach the budget is run in full.
     assert (3**2584).bit_length() <= MAX_COEFF_BITS < (3**2585).bit_length()
     for base, k in ((LaurentPoly2.term(0, 0, 3), 3000), (LaurentPoly2.term(0, 0, 2), 4000), (Y, 5000)):
-        for spent in (0, 96000, 97000, 97300, 97415, 97416, 97500, 98000, MAX_TERM_PRODUCTS):
+        fresh = _Parser([])
+        from_empty = _outcome(fresh, lambda: _power_by_products(fresh, base, k))
+        for spent in range(0, MAX_TERM_PRODUCTS + 1, 250):
             fast, slow = _Parser([]), _Parser([])
             fast.work = slow.work = spent
             got = _outcome(fast, lambda: fast.power(base, k))
-            assert got == _outcome(slow, lambda: _power_by_products(slow, base, k)), (base, k, spent)
+            if spent + k <= MAX_TERM_PRODUCTS:
+                want = from_empty if isinstance(from_empty, str) else (from_empty[0], spent + k)
+            else:
+                want = _outcome(slow, lambda: _power_by_products(slow, base, k))
+            assert isinstance(got, str) == isinstance(want, str), (base, k, spent)
+            if not isinstance(got, str):
+                assert got == want, (base, k, spent)
 
 
 def _long_sum(terms):
@@ -459,9 +471,33 @@ def _long_sum(terms):
 
 
 def test_a_long_sum_matches_the_fraction_reference():
-    # each summand updates one key's reduced Fraction, so adding a term never
-    # rescales the whole partial sum over the lcm of all its denominators;
+    # the sum is formed once over the lcm of its summands' denominators, here
+    # the product of the primes, which passes MAX_COEFF_BITS at 419 primes;
     # tests/test_complexity.py bounds the parser's steps on a long sum
-    text, want = _long_sum(6000)
-    assert max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in want.values()) <= MAX_COEFF_BITS
+    text, want = _long_sum(418)
     assert parse_laurent_poly(text).terms == tuple(sorted(want.items()))
+    for terms in (419, 6000):
+        with pytest.raises(ValueError, match="bits"):
+            parse_laurent_poly(_long_sum(terms)[0])
+
+
+def test_the_bit_bound_reads_the_stored_integers():
+    # each reduced coefficient has at most 3460 bits, but the element stores
+    # both over one denominator of 6268 bits, so it is refused
+    text = "(3/7)^1000 + (5/11)^1000*y"
+    assert (7**1000 * 11**1000).bit_length() > MAX_COEFF_BITS
+    with pytest.raises(ValueError, match="bits"):
+        parse_laurent_poly(text)
+    # a sum is checked once it is formed, not term by term: its partial sum
+    # 2^4096 is never stored
+    assert parse_laurent_poly("2^4095 + 2^4095 - 2^4095") == LaurentPoly2.term(0, 0, 2**4095)
+
+
+def test_the_parser_reads_no_fraction_view(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the parser read the Fraction view")
+
+    texts = ("1/2 + 3/7*y - 5/4*y^-1", "x*(1 + y)^3*(2/3 - y^-2)", "-(1/6*x*y - 1/9*x)^2 + y^-3*(3/7)^-2")
+    want = [parse_laurent_poly(text) for text in texts]
+    monkeypatch.setattr(LaurentPoly2, "terms", property(refuse))
+    assert [parse_laurent_poly(text) for text in texts] == want
